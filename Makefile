@@ -4,7 +4,7 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2023.1.7
 
-.PHONY: ci vet build test race chaos fleet-chaos tenancy-chaos corner-chaos trace-chaos lint bench-json bench-check telemetry-guard
+.PHONY: ci vet build perfbench-build test race chaos fleet-chaos tenancy-chaos corner-chaos trace-chaos lint bench-json bench-check telemetry-guard
 
 # bench-check is a required gate: the sparse eval plans bought a large
 # ns/eval margin over the committed baseline, so the 15% regression
@@ -15,7 +15,7 @@ STATICCHECK_VERSION ?= 2023.1.7
 # (the tools need network access to download on first run).
 # telemetry-guard also gates: its allocs/eval comparison is
 # deterministic, unlike timings.
-ci: vet build test race fleet-chaos tenancy-chaos corner-chaos trace-chaos telemetry-guard bench-check
+ci: vet build perfbench-build test race fleet-chaos tenancy-chaos corner-chaos trace-chaos telemetry-guard bench-check
 	-$(MAKE) lint
 
 vet:
@@ -23,6 +23,13 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# perfbench-build vets and compiles the benchmark harness. perfbench/ is
+# its own Go module (replace astrx => ../), so the root `go build ./...`
+# never compiles it; this catches an API change that breaks it.
+perfbench-build:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench build -o /dev/null ./...
 
 test:
 	$(GO) test ./...
@@ -110,11 +117,11 @@ bench-check:
 # at low iteration counts) checked against the baseline with a timing
 # budget wide enough to absorb CI noise — it trips only on the
 # catastrophic case, e.g. sampling accidentally enabled by default.
-# The second step pins the batched K-candidate evaluator and the sparse
-# single-candidate workspace to zero allocations via their dedicated
-# alloc-count tests (testing.AllocsPerRun is exact and timing-free),
-# and proves tracing compiled in but disabled (nil recorder) adds zero
-# allocations to the eval hot path.
+# The second step pins the single-candidate workspace and the K-lane
+# batch (a loop over scalar workspaces) to zero allocations via their
+# dedicated alloc-count tests (testing.AllocsPerRun is exact and
+# timing-free), and proves tracing compiled in but disabled (nil
+# recorder) adds zero allocations to the eval hot path.
 telemetry-guard:
 	@tmp=$$(mktemp) && \
 	$(GO) test -run '^$$' -bench Table2Eval -benchmem -benchtime 100x . > $$tmp && \

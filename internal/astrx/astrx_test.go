@@ -2,6 +2,7 @@ package astrx
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -107,7 +108,9 @@ func TestCompileDivider(t *testing.T) {
 	}
 
 	// KCL-correct point: R2 = 1k → v(out) = 0.5.
-	st := c.Evaluate([]float64{1000, 0.5})
+	ws1 := c.NewWorkspace()
+	cb1 := ws1.CostDetail([]float64{1000, 0.5})
+	st := ws1.State()
 	if st.Err != nil {
 		t.Fatal(st.Err)
 	}
@@ -119,18 +122,18 @@ func TestCompileDivider(t *testing.T) {
 	}
 
 	// Off-balance point has a residual and a higher cost.
-	st2 := c.Evaluate([]float64{1000, 0.9})
+	ws2 := c.NewWorkspace()
+	cb2 := ws2.CostDetail([]float64{1000, 0.9})
+	st2 := ws2.State()
 	if math.Abs(st2.KCL["out"]) < 1e-6 {
 		t.Error("off-balance KCL residual should be significant")
 	}
-	cb1 := c.CostFromState(st)
-	cb2 := c.CostFromState(st2)
 	if cb2.DC <= cb1.DC {
 		t.Errorf("DC penalty: balanced %g vs off %g", cb1.DC, cb2.DC)
 	}
 
 	// Max KCL error metric.
-	if st2.MaxKCLError() <= st.MaxKCLError() {
+	if ws2.MaxKCLError() <= ws1.MaxKCLError() {
 		t.Error("MaxKCLError ordering wrong")
 	}
 }
@@ -161,7 +164,8 @@ func TestCompileDiffAmp(t *testing.T) {
 		}
 	}
 
-	st := evalDiffAmp(t, c)
+	ws := evalDiffAmp(t, c)
+	st := ws.State()
 	if st.Err != nil {
 		t.Fatal(st.Err)
 	}
@@ -189,7 +193,7 @@ func TestCompileDiffAmp(t *testing.T) {
 		t.Errorf("area = %g, want > 0", st.SpecVals["area"])
 	}
 
-	cb := c.CostFromState(st)
+	cb := ws.Breakdown()
 	if cb.Failed {
 		t.Fatal("cost evaluation failed")
 	}
@@ -198,9 +202,10 @@ func TestCompileDiffAmp(t *testing.T) {
 	}
 }
 
-// evalDiffAmp builds a plausible starting state: variables at their
-// starting values, node voltages at rough hand-picked values.
-func evalDiffAmp(t *testing.T, c *Compiled) *EvalState {
+// evalDiffAmp evaluates a plausible starting state on a fresh
+// workspace: variables at their starting values, node voltages at rough
+// hand-picked values.
+func evalDiffAmp(t *testing.T, c *Compiled) *EvalWorkspace {
 	t.Helper()
 	x := make([]float64, len(c.VarList))
 	for i, v := range c.VarList {
@@ -227,7 +232,9 @@ func evalDiffAmp(t *testing.T, c *Compiled) *EvalState {
 			x[i] = -1.2
 		}
 	}
-	return c.Evaluate(x)
+	ws := c.NewWorkspace()
+	_ = ws.Eval(x) // callers check Err
+	return ws
 }
 
 func TestStatsTable1Shape(t *testing.T) {
@@ -417,11 +424,11 @@ func TestAdaptiveWeights(t *testing.T) {
 
 func TestRegionPenalty(t *testing.T) {
 	c := compileDeck(t, diffAmpDeck)
-	st := evalDiffAmp(t, c)
-	if st.Err != nil {
-		t.Fatal(st.Err)
+	ws := evalDiffAmp(t, c)
+	if ws.Err() != nil {
+		t.Fatal(ws.Err())
 	}
-	cb := c.CostFromState(st)
+	cb := ws.Breakdown()
 	// Build a state that forces m1 deep into triode by collapsing its
 	// drain voltage; penalty must not decrease.
 	x := make([]float64, len(c.VarList))
@@ -431,11 +438,11 @@ func TestRegionPenalty(t *testing.T) {
 	for i := c.NUser; i < len(c.VarList); i++ {
 		x[i] = -2.4 // everything at the bottom rail
 	}
-	st2 := c.Evaluate(x)
-	if st2.Err != nil {
-		t.Fatal(st2.Err)
+	ws2 := c.NewWorkspace()
+	if err := ws2.Eval(x); err != nil {
+		t.Fatal(err)
 	}
-	cb2 := c.CostFromState(st2)
+	cb2 := ws2.Breakdown()
 	_ = cb
 	if cb2.Dev < 0 {
 		t.Error("region penalty must be nonnegative")
@@ -444,8 +451,7 @@ func TestRegionPenalty(t *testing.T) {
 
 func TestSpecEnvDeviceParams(t *testing.T) {
 	c := compileDeck(t, diffAmpDeck)
-	st := evalDiffAmp(t, c)
-	env := &specEnv{st: st}
+	env := &evalDiffAmp(t, c).specEnv
 	for _, p := range []string{"gm", "gds", "id", "vth", "vdsat", "vgs", "vds", "cgs", "cdb", "region", "vov"} {
 		if _, ok := env.Var("xamp.m1." + p); !ok {
 			t.Errorf("device param %s not resolvable", p)
@@ -483,7 +489,7 @@ func TestSpecEnvDeviceParams(t *testing.T) {
 	}
 	// Math fallthrough still works.
 	if got, err := env.Call("abs", []expr.Arg{{Value: -3}}); err != nil || got != 3 {
-		t.Errorf("abs via specEnv = %g, %v", got, err)
+		t.Errorf("abs via the spec env = %g, %v", got, err)
 	}
 }
 
@@ -540,27 +546,74 @@ r3 in out R
 	}
 }
 
+// TestEvaluateBiasLightweight pins the bias-only evaluation used by
+// the Fig. 2 trace: EvalBias fills the KCL residuals but runs no AWE fit
+// and no spec expression.
 func TestEvaluateBiasLightweight(t *testing.T) {
 	c := compileDeck(t, dividerDeck)
-	st := c.EvaluateBias([]float64{1000, 0.5})
-	if st.Err != nil {
-		t.Fatal(st.Err)
+	ws := c.NewWorkspace()
+	if err := ws.EvalBias([]float64{1000, 0.5}); err != nil {
+		t.Fatal(err)
 	}
-	if len(st.TFs) != 0 || len(st.SpecVals) != 0 {
-		t.Error("EvaluateBias must not run AWE or specs")
+	st := ws.State()
+	if tf := st.TFs["tf"]; tf == nil || tf.Order != 0 || len(tf.Moments) != 0 {
+		t.Errorf("EvalBias must not run AWE, got %+v", tf)
+	}
+	if v := st.SpecVals["gain"]; v != 0 {
+		t.Errorf("EvalBias must not evaluate specs, gain = %g", v)
 	}
 	if math.Abs(st.KCL["out"]) > 1e-12 {
 		t.Errorf("KCL = %g", st.KCL["out"])
 	}
 	// Wrong length.
-	if st := c.EvaluateBias([]float64{1}); st.Err == nil {
+	if err := ws.EvalBias([]float64{1}); err == nil {
 		t.Error("short vector must error")
+	}
+}
+
+// TestStateSnapshotIsOwned checks that State returns a snapshot: a
+// later evaluation on the same workspace must leave every field of an
+// earlier State unchanged, transfer-function poles, residues, zeros and
+// moments included.
+func TestStateSnapshotIsOwned(t *testing.T) {
+	c := compileDeck(t, diffAmpDeck)
+	ws := evalDiffAmp(t, c)
+	if ws.Err() != nil {
+		t.Fatal(ws.Err())
+	}
+	st := ws.State()
+	tf := st.TFs["tf"]
+	if tf == nil || tf.Order == 0 {
+		t.Fatalf("fixture regressed: no fitted tf in %+v", st.TFs)
+	}
+	want := *tf.Clone()
+	wantSpecs := make(map[string]float64, len(st.SpecVals))
+	for k, v := range st.SpecVals {
+		wantSpecs[k] = v
+	}
+
+	x := make([]float64, len(c.VarList))
+	for i, v := range c.VarList {
+		x[i] = v.Start()
+	}
+	x[0] *= 3
+	if err := ws.Eval(x); err != nil {
+		t.Fatal(err)
+	}
+	if got := ws.State().TFs["tf"]; reflect.DeepEqual(*got, want) {
+		t.Fatal("fixture regressed: the second evaluation fitted the same model")
+	}
+	if !reflect.DeepEqual(*tf, want) {
+		t.Errorf("snapshot tf changed by a later evaluation:\n got %+v\nwant %+v", *tf, want)
+	}
+	if !reflect.DeepEqual(st.SpecVals, wantSpecs) {
+		t.Errorf("snapshot specs changed: got %v, want %v", st.SpecVals, wantSpecs)
 	}
 }
 
 func TestJigNetlistExported(t *testing.T) {
 	c := compileDeck(t, diffAmpDeck)
-	st := evalDiffAmp(t, c)
+	st := evalDiffAmp(t, c).State()
 	nl, jig, err := st.JigNetlist("main")
 	if err != nil || nl == nil || jig == nil {
 		t.Fatalf("JigNetlist: %v", err)
@@ -577,8 +630,7 @@ func TestPowerWithStackedSources(t *testing.T) {
 	// The diff-amp deck stacks vb on the vdd node inside the module;
 	// power() must peel the source currents rather than erroring.
 	c := compileDeck(t, diffAmpDeck)
-	st := evalDiffAmp(t, c)
-	env := st.Env()
+	env := &evalDiffAmp(t, c).specEnv
 	v, err := env.Call("power", nil)
 	if err != nil {
 		t.Fatalf("power(): %v", err)

@@ -133,9 +133,9 @@ func startX(set *CornerSet) []float64 {
 }
 
 // TestCornerBatchMatchesScalar is the corner analogue of the batch
-// equivalence guarantee: evaluating K corner lanes through the shared
-// SoA batch must be bit-identical to evaluating each corner's compiled
-// plan sequentially.
+// equivalence guarantee: evaluating K corner lanes through the corner
+// batch must be bit-identical to evaluating each corner's compiled plan
+// on its own.
 func TestCornerBatchMatchesScalar(t *testing.T) {
 	deck := parseCornered(t)
 	set, err := CompileCorners(deck, deck.CornerNames(), CostOptions{})

@@ -67,10 +67,11 @@ func TestCompileBJTStage(t *testing.T) {
 	// tied to vss so pick Vbias ≈ -1.85 for vbe ≈ 0.65. Range is
 	// 0.4..1 though, so the BJT will be hard on; the evaluation must
 	// still complete (limexp guards overflow).
-	st := c.Evaluate(x)
-	if st.Err != nil {
-		t.Fatal(st.Err)
+	ws := c.NewWorkspace()
+	if err := ws.Eval(x); err != nil {
+		t.Fatal(err)
 	}
+	st := ws.State()
 	op, ok := st.BJTOps[q.Name]
 	if !ok {
 		t.Fatal("BJT op missing")
@@ -79,7 +80,7 @@ func TestCompileBJTStage(t *testing.T) {
 		t.Errorf("Ic = %g", op.Ic)
 	}
 	// The spec env resolves BJT dotted params.
-	env := &specEnv{st: st}
+	env := &ws.specEnv
 	for _, p := range []string{"ic", "ib", "gm", "gpi", "go", "cpi", "cmu", "vbe", "vbc"} {
 		if _, ok := env.Var(q.Name + "." + p); !ok {
 			t.Errorf("bjt param %s unresolved", p)
@@ -103,11 +104,11 @@ func TestCompileBJTStage(t *testing.T) {
 
 func TestSpecEnvMoreFunctions(t *testing.T) {
 	c := compileDeck(t, dividerDeck)
-	st := c.Evaluate([]float64{9000, 0.9})
-	if st.Err != nil {
-		t.Fatal(st.Err)
+	ws := c.NewWorkspace()
+	if err := ws.Eval([]float64{9000, 0.9}); err != nil {
+		t.Fatal(err)
 	}
-	env := st.Env()
+	env := &ws.specEnv
 	for _, call := range []struct {
 		fn   string
 		args []expr.Arg
@@ -144,11 +145,11 @@ func TestRegionVariants(t *testing.T) {
 	src = strings.Replace(src,
 		".region xamp.m3 sat", ".region xamp.m3 on margin=0.2", 1)
 	c := compileDeck(t, src)
-	st := evalDiffAmp(t, c)
-	if st.Err != nil {
-		t.Fatal(st.Err)
+	ws := evalDiffAmp(t, c)
+	if ws.Err() != nil {
+		t.Fatal(ws.Err())
 	}
-	cb := c.CostFromState(st)
+	cb := ws.Breakdown()
 	if cb.Failed {
 		t.Fatal("cost failed")
 	}
@@ -195,9 +196,12 @@ func TestDCProblemWrongSizes(t *testing.T) {
 
 func TestNormalizeAndSpecFail(t *testing.T) {
 	c := compileDeck(t, dividerDeck)
-	st := c.Evaluate([]float64{1000, 0.5})
-	st.SpecVals["gain"] = math.NaN()
-	cb := c.CostFromState(st)
+	ws := c.NewWorkspace()
+	if err := ws.Eval([]float64{1000, 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	ws.specVals[0] = math.NaN() // the divider's only spec, gain
+	cb := ws.Breakdown()
 	if cb.Perf <= 0 {
 		t.Error("NaN spec must incur a penalty")
 	}

@@ -28,9 +28,8 @@ func TestDCProblemJacobianMatchesFD(t *testing.T) {
 	// The analytic Jacobian must match finite differences of the
 	// residual — including MOS rows with possible source/drain swaps.
 	c := compileDeck(t, diffAmpDeck)
-	st := evalDiffAmp(t, c)
-	if st.Err != nil {
-		t.Fatal(st.Err)
+	if err := evalDiffAmp(t, c).Err(); err != nil {
+		t.Fatal(err)
 	}
 	x := make([]float64, len(c.VarList))
 	for i, v := range c.VarList {
@@ -96,12 +95,13 @@ func TestDCProblemSolvesDiffAmpBias(t *testing.T) {
 
 	// Inject the solved voltages and check the full state.
 	copy(x[c.NUser:], r.V)
-	st := c.Evaluate(x)
-	if st.Err != nil {
-		t.Fatal(st.Err)
+	ws := c.NewWorkspace()
+	if err := ws.Eval(x); err != nil {
+		t.Fatal(err)
 	}
-	if st.MaxKCLError() > 1e-6 {
-		t.Errorf("relative KCL error = %g", st.MaxKCLError())
+	st := ws.State()
+	if ws.MaxKCLError() > 1e-6 {
+		t.Errorf("relative KCL error = %g", ws.MaxKCLError())
 	}
 	// Physical sanity: the tail node sits below the inputs (NMOS pair
 	// needs vgs > vth ≈ 0.8), outputs between the rails.

@@ -18,17 +18,16 @@ import (
 // decision, and matrix coordinate is resolved once at Compile time; the
 // per-move hot path (workspace.go) only reads it.
 //
-// Equivalence with the map-based evaluator (eval.go) is bit-exact, which
-// requires replaying the legacy code's floating-point operations in the
-// same order, including its quirks: conductances stamped as 1/(1/g)
-// (the legacy path emitted a resistor with value 1/g and mna recomputed
-// the conductance), element skip rules (zero-valued stamps and
-// self-capacitances are not emitted), and the map-literal overwrite
-// semantics of the BJT Jacobian when terminals are tied.
+// The floating-point operation order is pinned: the golden eval vectors
+// (internal/bench/testdata) and the benchmark's golden costs hold it,
+// and at least one committed point is sensitive to roundoff. That
+// covers conductances stamped as 1/(1/g), the element skip rules
+// (zero-valued stamps and self-capacitances are not emitted) and the
+// accumulation orders below.
 
 // constInit writes one .const value into the workspace value table. It
 // is applied after the design vector prefix each evaluation so a const
-// that shadows a design variable wins, as in the legacy map fill order.
+// that shadows a design variable wins.
 type constInit struct {
 	idx int
 	v   float64
@@ -56,10 +55,9 @@ type devPlan struct {
 }
 
 // qjacSel selects one surviving column of the BJT Jacobian stamp. The
-// legacy code built map literals keyed by terminal node name in the
-// order base, emitter, collector; a duplicate key (tied terminals)
-// keeps the last coefficient. coef selects position 0/1/2 in that
-// literal order.
+// coefficients are listed per terminal in the order base, emitter,
+// collector; when terminals are tied, the later coefficient wins. coef
+// selects position 0/1/2 in that order.
 type qjacSel struct {
 	col  int // node slot
 	coef int
@@ -71,7 +69,7 @@ type kclOp struct {
 	e    *circuit.Element
 	n    [4]int
 	// dev indexes mosOps (KindM) or bjtOps (KindQ); -1 reads a zero
-	// operating point, matching the legacy zero-value map read.
+	// operating point.
 	dev int
 	// qsel is the Jacobian column-selection program for KindQ.
 	qsel []qjacSel
@@ -91,8 +89,8 @@ type powerOther struct {
 }
 
 // powerContrib is one element's current contribution in the power()
-// peeling (the currentInto cases). touches is the first terminal index
-// matching the candidate node, as in the legacy first-match scan.
+// peeling. touches is the first terminal index matching the candidate
+// node.
 type powerContrib struct {
 	kind    circuit.Kind
 	e       *circuit.Element
@@ -117,7 +115,7 @@ type linOp struct {
 	br   int // own branch row (V/E/H/L), else -1
 	cb   int // controlling branch row (F/H), else -1
 	// err surfaces a compile-detected problem (unknown controlling
-	// source) at evaluation time, where the legacy path reported it.
+	// source) as an evaluation error.
 	err error
 }
 
@@ -180,10 +178,12 @@ type evalPlan struct {
 	// regions maps each .region card to a mosOps index (-1 = skip).
 	regions []int
 
-	// devRefs resolves dotted spec identifiers; vIdx resolves v(node)
-	// reads with legacy NodeV membership semantics (ground + free +
-	// determined nodes only; -1 reads 0).
+	// devRefs resolves the dotted identifiers of the deck's specs
+	// without string work; devIdx resolves any device by name for other
+	// expressions (EvalExpr). vIdx resolves v(node) reads (ground + free
+	// + determined nodes only; -1 reads 0).
 	devRefs map[string]devParamRef
+	devIdx  map[string]devIdxEntry
 	vIdx    map[string]int
 
 	tfIdx map[string]int
@@ -202,8 +202,8 @@ type devIdxEntry struct {
 }
 
 // buildPlan compiles the evaluation plan for a compiled problem. It
-// never fails: deck conditions the legacy evaluator only detected at
-// evaluation time are recorded in the plan and surfaced per evaluation.
+// never fails: deck conditions that are errors only at evaluation time
+// are recorded in the plan and surfaced per evaluation.
 func buildPlan(c *Compiled) *evalPlan {
 	p := &evalPlan{
 		valIdx:  make(map[string]int, c.NUser+len(c.Deck.Consts)),
@@ -216,7 +216,7 @@ func buildPlan(c *Compiled) *evalPlan {
 
 	// Value table: user variables by position, then consts (a const
 	// sharing a variable's name reuses its slot and overwrites it each
-	// evaluation, matching the legacy map fill order).
+	// evaluation).
 	for i := 0; i < c.NUser; i++ {
 		p.valIdx[c.VarList[i].Name] = i
 	}
@@ -267,6 +267,7 @@ func buildPlan(c *Compiled) *evalPlan {
 	// Devices in deterministic order; terminal names come from the
 	// bias-side references (series expansion may have renamed them).
 	devIdx := make(map[string]devIdxEntry, len(c.Bias.DevOrder))
+	p.devIdx = devIdx
 	for _, name := range c.Bias.DevOrder {
 		d := c.Bias.Devices[name]
 		dp := devPlan{name: name, kind: d.Kind, elem: d.Elem, mos: d.MOS, bjt: d.BJT}
@@ -361,7 +362,7 @@ func buildPlan(c *Compiled) *evalPlan {
 		})
 	}
 
-	// v(node) membership: exactly the keys the legacy NodeV map carried.
+	// v(node) membership: ground, free and determined nodes.
 	p.vIdx[circuit.Ground] = -1
 	for i, n := range c.Bias.FreeNodes {
 		p.vIdx[n] = p.freeIdx[i]
@@ -371,7 +372,7 @@ func buildPlan(c *Compiled) *evalPlan {
 	}
 
 	// Transfer-function slots, in jig declaration order (a duplicate
-	// name resolves to the last request, like the legacy map).
+	// name resolves to the last request).
 	for _, j := range c.Jigs {
 		for _, req := range j.TFs {
 			p.tfIdx[req.Name] = p.nTFs
@@ -390,10 +391,11 @@ func buildPlan(c *Compiled) *evalPlan {
 	return p
 }
 
-// qJacSelection replicates the legacy BJT Jacobian map literals keyed
-// (base, emitter, collector): duplicate keys keep the last coefficient;
-// surviving entries are emitted in first-occurrence order (stamp order
-// between distinct matrix cells does not affect the accumulated sums).
+// qJacSelection resolves the BJT Jacobian columns for terminals
+// (base, emitter, collector): a tied terminal keeps the last
+// coefficient; surviving entries are emitted in first-occurrence order
+// (stamp order between distinct matrix cells does not affect the
+// accumulated sums).
 func qJacSelection(bN, eN, cN int) []qjacSel {
 	cols := [3]int{bN, eN, cN}
 	sel := make([]qjacSel, 0, 3)
@@ -432,10 +434,13 @@ func walkVarNames(n expr.Node, fn func(string)) {
 	}
 }
 
-// buildPowerPlan simulates the legacy power() peeling loop, which is
-// purely structural: which sources share nodes decides the recovery
-// order, never the element values. The step sequence is recorded so the
-// evaluation replays only the arithmetic.
+// buildPowerPlan schedules power()'s branch-current recovery by
+// iterative peeling: a source's current is known once every other
+// source sharing one of its nodes is known, starting from nodes touched
+// by a single source, which handles bias-voltage generators stacked on
+// the supply nodes. The schedule is purely structural — which sources
+// share nodes decides the recovery order, never the element values — so
+// it is recorded once and the evaluation replays only the arithmetic.
 func (p *evalPlan) buildPowerPlan(c *Compiled, slot func(string) int, devIdx map[string]devIdxEntry) {
 	srcs := c.Bias.VSources
 	known := make([]bool, len(srcs))
@@ -484,8 +489,20 @@ func (p *evalPlan) buildPowerPlan(c *Compiled, slot func(string) int, devIdx map
 	}
 }
 
-// powerContribs records the currentInto contributions at node for the
-// peeling step of source skip. Elements whose legacy case evaluates an
+// vTouch reports whether a V source touches node and the sign its branch
+// current (+→−) contributes to current leaving that node.
+func vTouch(e *circuit.Element, node string) (bool, float64) {
+	if e.Nodes[0] == node {
+		return true, 1
+	}
+	if e.Nodes[1] == node {
+		return true, -1
+	}
+	return false, 0
+}
+
+// powerContribs records the non-source current contributions leaving
+// node for the peeling step of source skip. Elements with a value
 // expression are kept even when they contribute no current (a VCCS
 // touched only through its control nodes still surfaces value errors).
 func powerContribs(c *Compiled, node string, skip *circuit.Element, slot func(string) int, devIdx map[string]devIdxEntry) []powerContrib {
@@ -536,7 +553,7 @@ func powerContribs(c *Compiled, node string, skip *circuit.Element, slot func(st
 // buildJigPlan compiles one jig's stamp program. Node slots are
 // positions in j.AllNodes; branch rows follow in Linear declaration
 // order, exactly as mna.Build assigns them for the gmin-first netlist
-// that smallSignalNetlist now emits.
+// that smallSignalNetlist emits.
 func buildJigPlan(c *Compiled, j *JigCkt, devIdx map[string]devIdxEntry, tfSlot *int) *jigPlan {
 	jp := &jigPlan{name: j.Name, nNodes: len(j.AllNodes)}
 	jp.gstamp = 1 / (1 / c.Opt.Gmin)
@@ -608,8 +625,8 @@ func buildJigPlan(c *Compiled, j *JigCkt, devIdx map[string]devIdxEntry, tfSlot 
 		*tfSlot++
 		if req.OutNeg != "" && req.OutNeg != "0" {
 			if circuit.IsGround(req.OutNeg) {
-				// Legacy: NodeUnknown rejects ground aliases at
-				// evaluation time.
+				// A ground alias is not a measurable output; the
+				// error surfaces at evaluation time.
 				tp.err = fmt.Errorf("awe: output node %q unknown or ground", req.OutNeg)
 			} else {
 				tp.in = nslot(req.OutNeg)
@@ -709,7 +726,7 @@ func buildJigSymbolic(jp *jigPlan) *linalg.Symbolic {
 			// superset of every runtime scan and the prediction would
 			// never prime a cache hit. A card with real body effect just
 			// means the first factorization computes (and caches) its own
-			// symbolic — the adaptive batch path keys on runtime scans.
+			// symbolic from the runtime scan.
 			vccs(d.d, d.s, d.g, d.s) // Gm
 			cond(d.d, d.s)           // Gds
 		} else {

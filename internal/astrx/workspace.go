@@ -14,18 +14,19 @@ import (
 	"astrx/internal/telemetry"
 )
 
-// EvalWorkspace evaluates the compiled cost function by replaying the
-// precompiled plan (plan.go) into persistent, index-addressed storage:
-// matrices are re-stamped in place, LU factors and AWE scratch are
-// reused, and all name-keyed maps of the legacy evaluator are replaced
-// by slices addressed through compile-time index tables. After warm-up
-// a steady-state evaluation performs no heap allocation and no string
-// work, which is what makes the annealer's move loop cheap.
+// EvalWorkspace is the evaluator: the only code that computes node
+// voltages, device operating points, KCL residuals, jig AWE models,
+// spec values and the cost C(x). It replays the precompiled plan
+// (plan.go) into persistent, index-addressed storage: matrices are
+// re-stamped in place, LU factors and AWE scratch are reused, and every
+// name lookup is resolved through compile-time index tables. After
+// warm-up a steady-state evaluation performs no heap allocation and no
+// string work, which is what makes the annealer's move loop cheap.
 //
-// A workspace is single-goroutine state, like the adaptive weights it
-// updates; every annealing run owns one via Compiled.Workspace. Results
-// are bit-identical to Compiled.Evaluate/CostDetail: the plan replays
-// the same floating-point operations in the same order.
+// A workspace is single-goroutine state; every annealing run owns one
+// via Compiled.Workspace, and code that inspects designs on the side
+// (progress reports, verification) allocates its own with NewWorkspace
+// so the annealer's workspace is never disturbed.
 type EvalWorkspace struct {
 	c    *Compiled
 	plan *evalPlan
@@ -198,8 +199,8 @@ func (ws *EvalWorkspace) bjtOpAt(i int) devices.BJTOp {
 	return ws.bjtOps[i]
 }
 
-// wsValEnv is the plain value environment (design variables and consts
-// plus math built-ins) — the workspace counterpart of exprEnv.
+// wsValEnv is the plain value environment: design variables and consts
+// plus the math built-ins.
 type wsValEnv struct{ ws *EvalWorkspace }
 
 func (e *wsValEnv) Var(name string) (float64, bool) {
@@ -233,7 +234,7 @@ func (ws *EvalWorkspace) run(x []float64, full bool) {
 	env := &ws.valEnv
 
 	// Node voltages: free nodes from the x tail, then determined chains.
-	// Slots that are neither stay 0, like the legacy map misses.
+	// Slots that are neither stay 0.
 	for i, slot := range p.freeIdx {
 		ws.nodeV[slot] = x[c.NUser+i]
 	}
@@ -295,8 +296,8 @@ func (ws *EvalWorkspace) run(x []float64, full bool) {
 }
 
 // evalSpecs evaluates the compiled spec expressions against the last
-// jig results (the tail of a full run, split out so the batched
-// evaluator can replay it per lane).
+// jig results (the tail of a full run, split out so the batch evaluator
+// can run it as its own stage).
 func (ws *EvalWorkspace) evalSpecs() {
 	for i, s := range ws.c.Deck.Specs {
 		ws.resetArgs()
@@ -310,7 +311,7 @@ func (ws *EvalWorkspace) evalSpecs() {
 	ws.clock.Mark(telemetry.StageSpecs)
 }
 
-// geometry is the workspace counterpart of EvalState.geometry.
+// geometry evaluates a MOS instance's geometry expressions.
 func (ws *EvalWorkspace) geometry(e *circuit.Element) (devices.MOSGeom, error) {
 	env := &ws.valEnv
 	w, err := e.EvalParam("w", 0, env)
@@ -332,8 +333,7 @@ func (ws *EvalWorkspace) geometry(e *circuit.Element) (devices.MOSGeom, error) {
 }
 
 // evalKCL accumulates the DC current residuals by replaying the KCL
-// program in element order (identical accumulation order to the legacy
-// map-based loop).
+// program in bias-netlist element order.
 func (ws *EvalWorkspace) evalKCL() error {
 	p := ws.plan
 	for i := range ws.kclRes {
@@ -516,8 +516,9 @@ func (ws *EvalWorkspace) stampJig(jp *jigPlan, jw *jigWS) error {
 			if op.Swapped {
 				dn, sn = sn, dn
 			}
-			// Conductances stamp as 1/(1/g): the legacy path emitted a
-			// resistor of value 1/g and mna recomputed the conductance.
+			// Conductances stamp as 1/(1/g), the value the reference
+			// netlist (smallSignalNetlist) hands mna as a resistor. The
+			// rounding is part of the pinned golden costs.
 			if op.Gm != 0 {
 				st.VCCS(dn, sn, d.g, sn, op.Gm)
 			}
@@ -575,19 +576,38 @@ func (ws *EvalWorkspace) Cost(x []float64) float64 {
 }
 
 // CostDetail evaluates the full state in the workspace and itemizes the
-// cost, updating the compiled problem's adaptive-weight statistics
-// exactly as Compiled.CostDetail does.
+// cost, updating the compiled problem's adaptive-weight statistics.
 func (ws *EvalWorkspace) CostDetail(x []float64) CostBreakdown {
 	ws.clock.Begin()
 	ws.run(x, true)
-	out := ws.costFromRun()
+	out := ws.costFromRun(true)
 	ws.clock.End()
 	return out
 }
 
-// costFromRun mirrors CostFromState's arithmetic over the workspace
-// slices, including the adaptive-weight EMA side effects.
-func (ws *EvalWorkspace) costFromRun() CostBreakdown {
+// Eval runs the full pipeline (bias, jigs, specs) for x without
+// assembling the cost, so the adaptive weights are untouched. Read the
+// results through State, MaxKCLError or EvalExpr.
+func (ws *EvalWorkspace) Eval(x []float64) error {
+	ws.run(x, true)
+	return ws.err
+}
+
+// EvalBias runs only the bias part of the pipeline for x: node
+// voltages, device operating points and KCL residuals.
+func (ws *EvalWorkspace) EvalBias(x []float64) error {
+	ws.run(x, false)
+	return ws.err
+}
+
+// Breakdown itemizes the cost of the last evaluation under the current
+// weights without updating the adaptive-weight statistics — for
+// reporting a design without perturbing the run that found it.
+func (ws *EvalWorkspace) Breakdown() CostBreakdown { return ws.costFromRun(false) }
+
+// costFromRun assembles C(x) per eq. (5) from the last run. track
+// applies the adaptive-weight EMA updates as a side effect.
+func (ws *EvalWorkspace) costFromRun(track bool) CostBreakdown {
 	var out CostBreakdown
 	c := ws.c
 	w := c.Weights
@@ -597,17 +617,21 @@ func (ws *EvalWorkspace) costFromRun() CostBreakdown {
 		return out
 	}
 
+	// C^obj and C^perf.
 	for i, s := range c.Deck.Specs {
 		val := ws.specVals[i]
 		if math.IsNaN(val) || math.IsInf(val, 0) {
+			// Unevaluatable spec: treat as far beyond "bad".
 			out.Perf += w.Spec[s.Name] * specFailUnits
-			if !s.Objective {
+			if track && !s.Objective {
 				w.emaSpec[s.Name] = emaDecay*w.emaSpec[s.Name] + (1 - emaDecay)
 			}
 			continue
 		}
 		u := Normalize(s, val)
 		if s.Objective {
+			// Keep optimizing past "good", but gently, so objectives
+			// cannot drown the penalty terms.
 			term := u
 			if u < 0 {
 				term = 0.05 * u
@@ -616,17 +640,23 @@ func (ws *EvalWorkspace) costFromRun() CostBreakdown {
 		} else {
 			viol := math.Max(0, u)
 			out.Perf += w.Spec[s.Name] * viol
-			w.emaSpec[s.Name] = emaDecay*w.emaSpec[s.Name] + (1-emaDecay)*math.Min(viol, 1)
+			if track {
+				w.emaSpec[s.Name] = emaDecay*w.emaSpec[s.Name] + (1-emaDecay)*math.Min(viol, 1)
+			}
 		}
 	}
 
+	// C^dev: operating-region constraints (volts of violation).
 	regViol := ws.regionViolation()
 	out.Dev = w.Region * regViol
-	w.emaReg = emaDecay*w.emaReg + (1-emaDecay)*math.Min(regViol, 1)
 
+	// C^dc: the relaxed-dc KCL penalties of eq. (3).
 	kclViol := ws.kclViolation()
 	out.DC = w.KCL * kclViol
-	w.emaKCL = emaDecay*w.emaKCL + (1-emaDecay)*math.Min(kclViol, 1)
+	if track {
+		w.emaReg = emaDecay*w.emaReg + (1-emaDecay)*math.Min(regViol, 1)
+		w.emaKCL = emaDecay*w.emaKCL + (1-emaDecay)*math.Min(kclViol, 1)
+	}
 
 	out.Total = out.Objective + out.Perf + out.Dev + out.DC
 	if math.IsNaN(out.Total) || math.IsInf(out.Total, 0) {
@@ -675,12 +705,37 @@ func (ws *EvalWorkspace) kclViolation() float64 {
 	return kclViol
 }
 
-// State projects the workspace's last evaluation into a map-based
-// EvalState for inspection and verification code. The maps are freshly
-// allocated, but TF pointers alias workspace storage: they are valid
-// only until the next evaluation. Contents are meaningful when Err is
-// nil; after a failed run they are best-effort, like the legacy
-// partially filled state.
+// MaxKCLError returns the worst relative KCL residual of the last
+// evaluation — the quantity Fig. 2 tracks along the optimization.
+func (ws *EvalWorkspace) MaxKCLError() float64 {
+	worst := 0.0
+	for _, slot := range ws.plan.freeIdx {
+		rel := math.Abs(ws.kclRes[slot]) / (ws.kclFlow[slot] + 1e-12)
+		if rel > worst {
+			worst = rel
+		}
+	}
+	return worst
+}
+
+// EvalExpr evaluates a spec-style expression against the last
+// evaluation. Transfer-function measurements go to backend first when
+// it is non-nil (package verify passes its AC-sweep simulator) and to
+// the AWE models otherwise.
+func (ws *EvalWorkspace) EvalExpr(e expr.Node, backend TFBackend) (float64, error) {
+	ws.specEnv.backend = backend
+	ws.resetArgs()
+	v, err := e.Eval(&ws.specEnv)
+	ws.specEnv.backend = nil
+	return v, err
+}
+
+// State snapshots the workspace's last evaluation into a map-based
+// EvalState for inspection and verification code. The snapshot owns
+// all of its storage, transfer functions included, so later
+// evaluations on this workspace leave it unchanged. Contents are
+// meaningful when Err is nil; after a failed run they are best-effort:
+// stages the run did not reach keep the previous evaluation's values.
 func (ws *EvalWorkspace) State() *EvalState {
 	c, p := ws.c, ws.plan
 	st := &EvalState{
@@ -716,7 +771,7 @@ func (ws *EvalWorkspace) State() *EvalState {
 	for _, jp := range p.jigs {
 		for i := range jp.tfs {
 			tp := &jp.tfs[i]
-			st.TFs[tp.name] = &ws.tfs[tp.tfIdx]
+			st.TFs[tp.name] = ws.tfs[tp.tfIdx].Clone()
 		}
 	}
 	for i, s := range c.Deck.Specs {
@@ -726,33 +781,55 @@ func (ws *EvalWorkspace) State() *EvalState {
 }
 
 // ---------------------------------------------------------------------------
-// wsSpecEnv: the workspace counterpart of specEnv.
+// wsSpecEnv: the environment spec expressions evaluate in.
 
-type wsSpecEnv struct{ ws *EvalWorkspace }
+type wsSpecEnv struct {
+	ws *EvalWorkspace
+	// backend, when set, serves transfer-function measurements first
+	// (EvalExpr); nil reads the AWE models.
+	backend TFBackend
+}
 
 func (e *wsSpecEnv) ArgBuf(n int) []expr.Arg { return e.ws.argBuf(n) }
 
-// Var resolves design variables, constants, and precompiled dotted
-// device-parameter paths.
+// Var resolves design variables, constants, and dotted
+// device-parameter paths such as "xamp.m1.gm".
 func (e *wsSpecEnv) Var(name string) (float64, bool) {
 	ws := e.ws
 	if i, ok := ws.plan.valIdx[name]; ok {
 		return ws.vals[i], true
 	}
-	if ref, ok := ws.plan.devRefs[name]; ok {
-		if ref.mos {
-			return mosParam(ws.mosOps[ref.op], ref.param)
+	ref, ok := ws.plan.devRefs[name]
+	if !ok {
+		i := strings.LastIndex(name, ".")
+		if i <= 0 {
+			return 0, false
 		}
-		return bjtParam(ws.bjtOps[ref.op], ref.param)
+		di, ok := ws.plan.devIdx[strings.ToLower(name[:i])]
+		if !ok {
+			return 0, false
+		}
+		ref = devParamRef{mos: di.kind == DevMOS, op: di.op, param: strings.ToLower(name[i+1:])}
 	}
-	return 0, false
+	if ref.mos {
+		return mosParam(ws.mosOps[ref.op], ref.param)
+	}
+	return bjtParam(ws.bjtOps[ref.op], ref.param)
 }
 
-// Call resolves the measurement functions over the workspace state,
-// falling back to the math built-ins — the same dispatch as
-// specEnv.Call without the (verification-only) backend hook.
+// Call resolves measurement functions over transfer functions and the
+// bias circuit, falling back to the math built-ins.
 func (e *wsSpecEnv) Call(fn string, args []expr.Arg) (float64, error) {
 	ws := e.ws
+	if e.backend != nil && tfFuncs[fn] && len(args) >= 1 && args[0].IsName {
+		v, handled, err := e.backend.Measure(fn, args[0].Name, args[1:])
+		if err != nil {
+			return 0, err
+		}
+		if handled {
+			return v, nil
+		}
+	}
 	tfArg := func() (*awe.TF, error) {
 		if len(args) < 1 || !args[0].IsName {
 			return nil, fmt.Errorf("astrx: %s needs a transfer function name", fn)
@@ -776,7 +853,7 @@ func (e *wsSpecEnv) Call(fn string, args []expr.Arg) (float64, error) {
 			return 0, err
 		}
 		return tf.DCGain(), nil
-	case "ugf":
+	case "ugf": // unity-gain frequency in Hz
 		tf, err := tfArg()
 		if err != nil {
 			return 0, err
@@ -788,13 +865,13 @@ func (e *wsSpecEnv) Call(fn string, args []expr.Arg) (float64, error) {
 			return 0, err
 		}
 		return tf.PhaseMarginDeg(), nil
-	case "bw3db":
+	case "bw3db": // -3 dB bandwidth in Hz
 		tf, err := tfArg()
 		if err != nil {
 			return 0, err
 		}
 		return tf.BW3dB() / (2 * math.Pi), nil
-	case "pole":
+	case "pole": // magnitude of i-th slowest pole, Hz (1-based)
 		tf, err := tfArg()
 		if err != nil {
 			return 0, err
@@ -812,7 +889,7 @@ func (e *wsSpecEnv) Call(fn string, args []expr.Arg) (float64, error) {
 			return 0, fmt.Errorf("astrx: zero(tf, i) needs an index")
 		}
 		return ws.nthRootMag(tf.Zeros, int(args[1].Value))
-	case "gain_at":
+	case "gain_at": // |H| at frequency f (Hz)
 		tf, err := tfArg()
 		if err != nil {
 			return 0, err
@@ -821,7 +898,7 @@ func (e *wsSpecEnv) Call(fn string, args []expr.Arg) (float64, error) {
 			return 0, fmt.Errorf("astrx: gain_at(tf, hz) needs a frequency")
 		}
 		return tf.GainMagAt(2 * math.Pi * args[1].Value), nil
-	case "v":
+	case "v": // bias-circuit node voltage
 		if len(args) != 1 || !args[0].IsName {
 			return 0, fmt.Errorf("astrx: v(node) needs a node name")
 		}
@@ -831,16 +908,16 @@ func (e *wsSpecEnv) Call(fn string, args []expr.Arg) (float64, error) {
 			return 0, fmt.Errorf("astrx: v(%s): unknown bias node", node)
 		}
 		return ws.nv(slot), nil
-	case "active_area":
+	case "active_area": // total gate area of all MOS devices, m²
 		return ws.activeArea()
-	case "power":
+	case "power": // total supply power of the bias circuit, W
 		return ws.power()
 	}
 	return expr.MathCall(fn, args)
 }
 
-// nthRootMag is the workspace counterpart of the package-level
-// nthRootMag, with reusable magnitude scratch.
+// nthRootMag returns |root_i| / 2π for the i-th smallest-magnitude
+// root, sorting into reusable magnitude scratch.
 func (ws *EvalWorkspace) nthRootMag(roots []complex128, i int) (float64, error) {
 	if i < 1 || i > len(roots) {
 		return 0, fmt.Errorf("astrx: root index %d out of range (have %d)", i, len(roots))
@@ -862,8 +939,7 @@ func (ws *EvalWorkspace) nthRootMag(roots []complex128, i int) (float64, error) 
 	return mags[i-1] / (2 * math.Pi), nil
 }
 
-// activeArea sums W·L·M over all MOS devices (device order matches the
-// legacy DevOrder walk).
+// activeArea sums W·L·M over all MOS devices in DevOrder.
 func (ws *EvalWorkspace) activeArea() (float64, error) {
 	tot := 0.0
 	for i := range ws.plan.devs {
@@ -880,9 +956,10 @@ func (ws *EvalWorkspace) activeArea() (float64, error) {
 	return tot, nil
 }
 
-// power replays the precompiled peeling schedule: each step recovers
-// one voltage source's branch current from the already known ones and
-// the non-source element currents at the chosen node.
+// power sums |V·I| over the bias circuit's independent voltage sources.
+// It replays the precompiled peeling schedule (buildPowerPlan): each
+// step recovers one voltage source's branch current from the already
+// known ones and the non-source element currents at the chosen node.
 func (ws *EvalWorkspace) power() (float64, error) {
 	p := ws.plan
 	if p.powerErr != nil {

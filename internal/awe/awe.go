@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"slices"
 
 	"astrx/internal/mna"
 )
@@ -69,6 +70,17 @@ type TF struct {
 	// Order is the model order q actually used (it may be lower than
 	// requested when the circuit has fewer observable poles).
 	Order int
+}
+
+// Clone returns a deep copy of tf that shares no storage with it.
+func (tf *TF) Clone() *TF {
+	return &TF{
+		Poles:    slices.Clone(tf.Poles),
+		Residues: slices.Clone(tf.Residues),
+		Zeros:    slices.Clone(tf.Zeros),
+		Moments:  slices.Clone(tf.Moments),
+		Order:    tf.Order,
+	}
 }
 
 // Moments computes the first n output moments for input source src and

@@ -56,14 +56,8 @@ func (e *Engine) Refactor() error {
 	if err := e.lu.Factor(e.G); err != nil {
 		return fmt.Errorf("%w: %v", ErrNoDCPath, err)
 	}
-	e.refreshAux()
-	return nil
-}
 
-// refreshAux re-sizes the recursion scratch and rescans C's sparsity
-// after a re-stamp (the non-factorization half of Refactor; the batch
-// engine calls it for lanes whose factorization ran in the SoA batch).
-func (e *Engine) refreshAux() {
+	// Re-size the recursion scratch and rescan C's sparsity.
 	n := e.G.Rows
 	if cap(e.cur) < n {
 		e.cur = make([]float64, n)
@@ -83,6 +77,7 @@ func (e *Engine) refreshAux() {
 			}
 		}
 	}
+	return nil
 }
 
 // MomentsInto fills mu with the first len(mu) output moments for the

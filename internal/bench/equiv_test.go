@@ -1,27 +1,23 @@
 package bench
 
 import (
+	"encoding/json"
 	"math"
-	"math/cmplx"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 
 	"astrx/internal/astrx"
 )
 
-// The compiled evaluation plan (astrx/plan.go + workspace.go) must be a
-// drop-in replacement for the map-based evaluator: same cost, same spec
-// values, same KCL residuals, same transfer-function models, on every
-// benchmark deck. These tests drive both implementations through
-// identical evaluation sequences and require agreement to 1e-12
-// relative — any divergence means the plan compiler mis-translated a
-// stamp, an ordering, or an error path.
-
-const equivTol = 1e-12
+// goldenTol is the relative tolerance of the golden eval vectors.
+const goldenTol = 1e-12
 
 // relEq reports |a-b| <= tol·max(1, |a|, |b|), treating equal NaNs as
-// equal (both evaluators flag a failed spec with NaN).
+// equal.
 func relEq(a, b, tol float64) bool {
 	if math.IsNaN(a) && math.IsNaN(b) {
 		return true
@@ -36,21 +32,9 @@ func relEq(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol*scale
 }
 
-func crelEq(a, b complex128, tol float64) bool {
-	scale := 1.0
-	if v := cmplx.Abs(a); v > scale {
-		scale = v
-	}
-	if v := cmplx.Abs(b); v > scale {
-		scale = v
-	}
-	return cmplx.Abs(a-b) <= tol*scale
-}
-
 // evalSequence builds a deterministic walk through the design space:
 // the deck's start point plus pseudo-random points spread across each
-// variable's range. Some land in infeasible corners on purpose — the
-// two evaluators must agree on failures too.
+// variable's range. Some land in infeasible corners on purpose.
 func evalSequence(c *astrx.Compiled, n int) [][]float64 {
 	vars := c.Vars()
 	rng := rand.New(rand.NewSource(12345))
@@ -71,107 +55,111 @@ func evalSequence(c *astrx.Compiled, n int) [][]float64 {
 	return seq
 }
 
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+// goldenPoint is one evaluation: its design vector, the cost breakdown,
+// and — when the evaluation completed — every spec value and the max
+// relative KCL residual.
+type goldenPoint struct {
+	X         []float64          `json:"x"`
+	Failed    bool               `json:"failed"`
+	Total     float64            `json:"total"`
+	Objective float64            `json:"objective"`
+	Perf      float64            `json:"perf"`
+	Dev       float64            `json:"dev"`
+	DC        float64            `json:"dc"`
+	Specs     map[string]float64 `json:"specs"`
+	MaxKCL    *float64           `json:"max_kcl_err"`
 }
 
-// TestCompiledPlanMatchesLegacyEvaluator is the equivalence suite: for
-// every Table 2 deck, the workspace path (Compiled.Cost / CostDetail on
-// the shared workspace) and the legacy map-based path
-// (Compiled.Evaluate + CostFromState) must agree on every evaluation of
-// an identical sequence. Two Compiled instances are used because the
-// adaptive cost weights carry state across evaluations — each
-// implementation owns its own trajectory, and the trajectories stay
-// aligned only while every cost agrees.
-func TestCompiledPlanMatchesLegacyEvaluator(t *testing.T) {
-	for _, ckt := range Table2Suite {
-		ckt := ckt
+type goldenDeck struct {
+	Deck   string        `json:"deck"`
+	Points []goldenPoint `json:"points"`
+}
+
+// TestEvalGoldenVectors pins the evaluator's outputs on every Table 2
+// deck to committed golden vectors at 1e-12 relative.
+//
+// testdata/eval_golden.json was produced at commit fad7081, the last
+// commit that carried the map-based reference evaluator, whose
+// equivalence test held the workspace path to 1e-12 against it. For
+// each deck it holds the evalSequence(c, 12) points plus one poisoned
+// copy of the second point with its first variable zeroed (a zero
+// device width, so the failure path is pinned too). Each point was
+// evaluated in order through Compiled.Workspace().CostDetail; the file
+// records the failed flag, the total and every breakdown term, and, for
+// points whose evaluation completed (Err() == nil), every spec value
+// from State().SpecVals and State's max relative KCL residual
+// |KCL|/(KCLFlow+1e-12) over the free nodes.
+func TestEvalGoldenVectors(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "eval_golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decks []goldenDeck
+	if err := json.Unmarshal(raw, &decks); err != nil {
+		t.Fatal(err)
+	}
+	if len(decks) != len(Table2Suite) {
+		t.Fatalf("golden file covers %d decks, Table 2 has %d", len(decks), len(Table2Suite))
+	}
+	for i, ckt := range Table2Suite {
+		gd := decks[i]
+		if gd.Deck != string(ckt) {
+			t.Fatalf("golden deck %d is %q, want %q", i, gd.Deck, ckt)
+		}
 		t.Run(string(ckt), func(t *testing.T) {
-			legacy, err := Compile(ckt)
+			c, err := Compile(ckt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			planned, err := Compile(ckt)
-			if err != nil {
-				t.Fatal(err)
+			seq := evalSequence(c, 12)
+			if len(gd.Points) != len(seq)+1 {
+				t.Fatalf("golden file has %d points, want %d", len(gd.Points), len(seq)+1)
 			}
-			for k, x := range evalSequence(legacy, 12) {
-				st := legacy.Evaluate(x)
-				bdL := legacy.CostFromState(st)
-				ws := planned.Workspace()
-				bdW := ws.CostDetail(x)
-				stW := ws.State()
-
-				if bdL.Failed != bdW.Failed {
-					t.Fatalf("eval %d: failed mismatch: legacy %v, plan %v (legacy err %v, plan err %v)",
-						k, bdL.Failed, bdW.Failed, st.Err, stW.Err)
+			ws := c.Workspace()
+			for k, gp := range gd.Points {
+				if k < len(seq) && !slices.Equal(gp.X, seq[k]) {
+					t.Fatalf("point %d is not evalSequence point %d", k, k)
 				}
-				comps := [][3]any{
-					{"total", bdL.Total, bdW.Total},
-					{"objective", bdL.Objective, bdW.Objective},
-					{"perf", bdL.Perf, bdW.Perf},
-					{"dev", bdL.Dev, bdW.Dev},
-					{"dc", bdL.DC, bdW.DC},
+				bd := ws.CostDetail(gp.X)
+				if bd.Failed != gp.Failed {
+					t.Fatalf("point %d: failed = %v, golden %v (err %v)", k, bd.Failed, gp.Failed, ws.Err())
 				}
-				for _, c := range comps {
-					a, b := c[1].(float64), c[2].(float64)
-					if !relEq(a, b, equivTol) {
-						t.Errorf("eval %d: cost %s: legacy %.17g, plan %.17g", k, c[0], a, b)
+				for _, term := range []struct {
+					name      string
+					got, want float64
+				}{
+					{"total", bd.Total, gp.Total},
+					{"objective", bd.Objective, gp.Objective},
+					{"perf", bd.Perf, gp.Perf},
+					{"dev", bd.Dev, gp.Dev},
+					{"dc", bd.DC, gp.DC},
+				} {
+					if !relEq(term.got, term.want, goldenTol) {
+						t.Errorf("point %d: cost %s = %.17g, golden %.17g", k, term.name, term.got, term.want)
 					}
 				}
-				if bdL.Failed {
-					continue // spec/KCL/TF values are undefined after a failure
+				if (ws.Err() == nil) != (gp.MaxKCL != nil) {
+					t.Fatalf("point %d: err = %v, but golden completed = %v", k, ws.Err(), gp.MaxKCL != nil)
 				}
-
-				if len(st.SpecVals) != len(stW.SpecVals) {
-					t.Fatalf("eval %d: spec count: legacy %d, plan %d", k, len(st.SpecVals), len(stW.SpecVals))
+				if gp.MaxKCL == nil {
+					continue
 				}
-				for _, name := range sortedKeys(st.SpecVals) {
-					if !relEq(st.SpecVals[name], stW.SpecVals[name], equivTol) {
-						t.Errorf("eval %d: spec %s: legacy %.17g, plan %.17g",
-							k, name, st.SpecVals[name], stW.SpecVals[name])
-					}
+				if got := ws.MaxKCLError(); !relEq(got, *gp.MaxKCL, goldenTol) {
+					t.Errorf("point %d: max KCL error = %.17g, golden %.17g", k, got, *gp.MaxKCL)
 				}
-				if len(st.KCL) != len(stW.KCL) {
-					t.Fatalf("eval %d: KCL node count: legacy %d, plan %d", k, len(st.KCL), len(stW.KCL))
+				specs := ws.State().SpecVals
+				if len(specs) != len(gp.Specs) {
+					t.Fatalf("point %d: %d specs, golden %d", k, len(specs), len(gp.Specs))
 				}
-				for _, node := range sortedKeys(st.KCL) {
-					if !relEq(st.KCL[node], stW.KCL[node], equivTol) {
-						t.Errorf("eval %d: KCL residual at %s: legacy %.17g, plan %.17g",
-							k, node, st.KCL[node], stW.KCL[node])
-					}
-					if !relEq(st.KCLFlow[node], stW.KCLFlow[node], equivTol) {
-						t.Errorf("eval %d: KCL flow at %s: legacy %.17g, plan %.17g",
-							k, node, st.KCLFlow[node], stW.KCLFlow[node])
-					}
+				names := make([]string, 0, len(gp.Specs))
+				for name := range gp.Specs {
+					names = append(names, name)
 				}
-				if len(st.TFs) != len(stW.TFs) {
-					t.Fatalf("eval %d: TF count: legacy %d, plan %d", k, len(st.TFs), len(stW.TFs))
-				}
-				for _, name := range sortedKeys(st.TFs) {
-					tfL, tfW := st.TFs[name], stW.TFs[name]
-					if tfL.Order != tfW.Order || len(tfL.Poles) != len(tfW.Poles) || len(tfL.Zeros) != len(tfW.Zeros) {
-						t.Errorf("eval %d: tf %s shape: legacy q=%d p=%d z=%d, plan q=%d p=%d z=%d",
-							k, name, tfL.Order, len(tfL.Poles), len(tfL.Zeros),
-							tfW.Order, len(tfW.Poles), len(tfW.Zeros))
-						continue
-					}
-					for i := range tfL.Poles {
-						if !crelEq(tfL.Poles[i], tfW.Poles[i], equivTol) {
-							t.Errorf("eval %d: tf %s pole %d: legacy %v, plan %v",
-								k, name, i, tfL.Poles[i], tfW.Poles[i])
-						}
-					}
-					for i := range tfL.Zeros {
-						if !crelEq(tfL.Zeros[i], tfW.Zeros[i], equivTol) {
-							t.Errorf("eval %d: tf %s zero %d: legacy %v, plan %v",
-								k, name, i, tfL.Zeros[i], tfW.Zeros[i])
-						}
+				sort.Strings(names)
+				for _, name := range names {
+					got, ok := specs[name]
+					if want := gp.Specs[name]; !ok || !relEq(got, want, goldenTol) {
+						t.Errorf("point %d: spec %s = %.17g, golden %.17g", k, name, got, want)
 					}
 				}
 			}

@@ -13,9 +13,11 @@ import (
 // factorization per call and LU.Solve/CLU.Solve/Matrix.MulVec allocate
 // a result vector per call — fine for one-shot analysis code, but the
 // synthesis hot path runs hundreds of thousands of evaluations and must
-// route through AutoLU/AutoCLU and the *Into/InPlace variants, which
-// reuse storage. The allocation benchmarks catch a regression only on
-// the decks they compile; this guard catches it at the call site.
+// factor into solver storage it owns and reuses (the workspace jig
+// engines' and dcsolve's AutoLU, acsim's AutoCLU) and solve through the
+// *Into/InPlace variants. The allocation benchmarks catch a regression
+// only on the decks they compile; this guard catches it at the call
+// site.
 func TestEvalPathUsesInPlaceSolvers(t *testing.T) {
 	pkgs := []string{"astrx", "awe", "dcsolve", "acsim", "anneal", "oblx"}
 	banned := regexp.MustCompile(`\.MulVec\(|\bFactorLU\(|\bFactorCLU\(|\.Solve\(`)
@@ -41,7 +43,7 @@ func TestEvalPathUsesInPlaceSolvers(t *testing.T) {
 				// dense-LU method; it is the one legitimate ".Solve(".
 				scrubbed := strings.ReplaceAll(line, "dcsolve.Solve(", "")
 				if m := banned.FindString(scrubbed); m != "" {
-					t.Errorf("%s:%d: allocating call %q on the eval path — use the AutoLU/AutoCLU or *Into/InPlace form", f, i+1, m)
+					t.Errorf("%s:%d: allocating call %q on the eval path — factor into reused solver storage and use the *Into/InPlace form", f, i+1, m)
 				}
 			}
 		}

@@ -19,9 +19,9 @@ import (
 //     storage into packed factor storage, per-step divide and
 //     multiply-subtract index triples for the numeric factorization, and
 //     forward/backward substitution programs for the solves.
-//   - SparseLU / SparseCLU / SparseBatchLU replay those programs over
-//     real, complex, or K-candidate SoA numeric arrays with no branching
-//     on structure and no allocation after warm-up.
+//   - SparseLU / SparseCLU replay those programs over real or complex
+//     numeric arrays with no branching on structure and no allocation
+//     after warm-up.
 //   - AutoLU / AutoCLU front the whole thing with a per-factor pattern
 //     scan, a small symbolic cache, and numeric guards (tiny static
 //     pivot, element growth) that fall back to the dense partial-pivot
@@ -29,9 +29,10 @@ import (
 //
 // Determinism matters more than cleverness here: the symbolic analysis
 // is a pure function of the scanned pattern, and the guards are pure
-// functions of the matrix values, so two evaluators handed bit-identical
-// matrices (the legacy evaluator and the compiled plan) always take the
-// same path and produce bit-identical results.
+// functions of the matrix values, so a factorization's path and result
+// depend only on the matrix — never on which patterns a solver's cache
+// saw before. That keeps a reused workspace bit-identical to a fresh
+// one, which checkpoint/resume relies on.
 
 // errSparseGuard is the internal signal that a numeric guard rejected
 // the static ordering for this matrix; callers fall back to dense LU.
@@ -320,9 +321,6 @@ func (s *Symbolic) Stats() FactorStats {
 	}
 }
 
-// Pattern returns the pattern the analysis was built from.
-func (s *Symbolic) Pattern() *Pattern { return &s.pat }
-
 // symCache is a tiny MRU cache of symbolic analyses keyed by pattern.
 type symCache struct {
 	entries []symEntry
@@ -364,23 +362,6 @@ func (c *symCache) prime(sym *Symbolic) {
 	}
 	c.entries = append(c.entries, symEntry{pat: sym.pat.clone(), sym: sym})
 }
-
-// SymCache is an exported handle on the per-factorizer symbolic cache
-// for callers that manage symbolics across solver instances (the AWE
-// batch engine shares one skeleton across K lane factorizers). Lookup
-// is the same pure pattern → analysis function AutoLU uses internally,
-// so a batch replay against a SymCache symbolic is bit-identical to a
-// scalar AutoLU replay of the same matrix.
-type SymCache struct{ c symCache }
-
-// Lookup returns the symbolic analysis for p, computing and caching it
-// on a miss; ok is false when p is structurally singular (negative
-// results are cached too).
-func (s *SymCache) Lookup(p *Pattern) (sym *Symbolic, ok bool) { return s.c.lookup(p) }
-
-// Prime inserts a precomputed analysis (compile-time structural
-// priming).
-func (s *SymCache) Prime(sym *Symbolic) { s.c.prime(sym) }
 
 // SparseLU replays a Symbolic's factor and solve programs over packed
 // real numeric storage.
@@ -724,160 +705,3 @@ func (f *AutoCLU) Sparse() bool { return f.sparse }
 
 // Counts returns how many factorizations took each path.
 func (f *AutoCLU) Counts() (sparse, dense uint64) { return f.sparseFactors, f.denseFactors }
-
-// SparseBatchLU factors and solves K candidate matrices sharing one
-// symbolic skeleton, with structure-of-arrays numeric storage: lane k of
-// packed entry e lives at v[e*K+k], so every replayed op streams K
-// contiguous values. Each lane's arithmetic is the exact op sequence of
-// the scalar SparseLU, so per-lane results are bit-identical to the
-// scalar path. Lanes whose numeric guards trip are masked out (Lane
-// reports false) and must be handled by the caller on the scalar path.
-type SparseBatchLU struct {
-	sym    *Symbolic
-	k      int
-	v      []float64
-	pivInv []float64
-	ok     []bool
-	inv    []float64 // per-step per-lane pivot reciprocal scratch
-	w      []float64 // SoA solve scratch, n·K
-	maxA   []float64
-	maxU   []float64
-}
-
-// NewSparseBatchLU returns a K-lane batch factorizer over sym.
-func NewSparseBatchLU(sym *Symbolic, k int) *SparseBatchLU {
-	return &SparseBatchLU{
-		sym:    sym,
-		k:      k,
-		v:      make([]float64, sym.lunnz*k),
-		pivInv: make([]float64, sym.n*k),
-		ok:     make([]bool, k),
-		inv:    make([]float64, k),
-		w:      make([]float64, sym.n*k),
-		maxA:   make([]float64, k),
-		maxU:   make([]float64, k),
-	}
-}
-
-// K returns the lane count.
-func (f *SparseBatchLU) K() int { return f.k }
-
-// Symbolic returns the shared skeleton.
-func (f *SparseBatchLU) Symbolic() *Symbolic { return f.sym }
-
-// Lane reports whether lane k factored cleanly.
-func (f *SparseBatchLU) Lane(k int) bool { return f.ok[k] }
-
-// FactorAll factors as[0..K-1] (each must match the symbolic pattern;
-// nil lanes are skipped and masked). Guard-tripped lanes are masked with
-// their in-progress values zeroed so they cannot pollute later SoA ops
-// with NaN/Inf slow paths.
-func (f *SparseBatchLU) FactorAll(as []*Matrix) {
-	s, K := f.sym, f.k
-	v := f.v
-	for i := range v {
-		v[i] = 0
-	}
-	for lane := 0; lane < K; lane++ {
-		f.ok[lane] = lane < len(as) && as[lane] != nil
-		f.maxA[lane] = 0
-		f.maxU[lane] = 0
-	}
-	for t, pos := range s.pat.Pos {
-		base := int(s.scatter[t]) * K
-		for lane := 0; lane < K; lane++ {
-			if !f.ok[lane] {
-				continue
-			}
-			x := as[lane].Data[pos]
-			v[base+lane] = x
-			if ax := math.Abs(x); ax > f.maxA[lane] {
-				f.maxA[lane] = ax
-			}
-		}
-	}
-	for k := 0; k < s.n; k++ {
-		pb := int(s.pivIdx[k]) * K
-		for lane := 0; lane < K; lane++ {
-			piv := v[pb+lane]
-			apiv := math.Abs(piv)
-			if f.ok[lane] && apiv >= sparseTinyPivot && apiv >= sparsePivRel*f.maxA[lane] {
-				f.inv[lane] = 1 / piv
-			} else {
-				// A dead lane factors on zeros: every later op stays a
-				// cheap finite no-op instead of spreading NaN.
-				f.ok[lane] = false
-				f.inv[lane] = 0
-			}
-			f.pivInv[k*K+lane] = f.inv[lane]
-		}
-		for _, d := range s.lIdx[s.lPtr[k]:s.lPtr[k+1]] {
-			db := int(d) * K
-			for lane := 0; lane < K; lane++ {
-				v[db+lane] *= f.inv[lane]
-			}
-		}
-		mt := s.mulT[s.mulPtr[k]:s.mulPtr[k+1]]
-		ml := s.mulL[s.mulPtr[k]:s.mulPtr[k+1]]
-		mu := s.mulU[s.mulPtr[k]:s.mulPtr[k+1]]
-		for o, t := range mt {
-			tb, lb, ub := int(t)*K, int(ml[o])*K, int(mu[o])*K
-			for lane := 0; lane < K; lane++ {
-				v[tb+lane] -= v[lb+lane] * v[ub+lane]
-			}
-		}
-	}
-	for i, x := range v {
-		lane := i % K
-		if ax := math.Abs(x); ax > f.maxU[lane] {
-			f.maxU[lane] = ax
-		}
-	}
-	for lane := 0; lane < K; lane++ {
-		if f.ok[lane] && !(f.maxU[lane] <= sparseGrowthLimit*f.maxA[lane]) {
-			f.ok[lane] = false
-		}
-	}
-}
-
-// SolveAll solves A·x = b for every lane in place. b is SoA: lane k of
-// row i at b[i*K+k]. Each lane replays the exact scalar substitution op
-// sequence; masked lanes produce bounded garbage the caller ignores.
-func (f *SparseBatchLU) SolveAll(b []float64) {
-	s, K := f.sym, f.k
-	if len(b) != s.n*K {
-		panic("linalg: SparseBatchLU.SolveAll dimension mismatch")
-	}
-	w := f.w
-	for k, r := range s.rowPerm {
-		copy(w[k*K:k*K+K], b[int(r)*K:int(r)*K+K])
-	}
-	for k := 0; k < s.n; k++ {
-		kb := k * K
-		rows := s.lRow[s.lPtr[k]:s.lPtr[k+1]]
-		idxs := s.lIdx[s.lPtr[k]:s.lPtr[k+1]]
-		for o, r := range rows {
-			rb, vb := int(r)*K, int(idxs[o])*K
-			for lane := 0; lane < K; lane++ {
-				w[rb+lane] -= f.v[vb+lane] * w[kb+lane]
-			}
-		}
-	}
-	for k := s.n - 1; k >= 0; k-- {
-		kb := k * K
-		cols := s.uCol[s.uPtr[k]:s.uPtr[k+1]]
-		idxs := s.uIdx[s.uPtr[k]:s.uPtr[k+1]]
-		for o, c := range cols {
-			cb, vb := int(c)*K, int(idxs[o])*K
-			for lane := 0; lane < K; lane++ {
-				w[kb+lane] -= f.v[vb+lane] * w[cb+lane]
-			}
-		}
-		for lane := 0; lane < K; lane++ {
-			w[kb+lane] *= f.pivInv[kb+lane]
-		}
-	}
-	for k, c := range s.colPerm {
-		copy(b[int(c)*K:int(c)*K+K], w[k*K:k*K+K])
-	}
-}

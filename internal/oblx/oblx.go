@@ -526,6 +526,10 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 	asp.SetAttr("seed", strconv.FormatInt(opt.Seed, 10))
 	asp.SetAttr("max_moves", strconv.Itoa(opt.MaxMoves))
 
+	// Reporting evals (progress, the Fig. 2 trace, the final state) run on
+	// a workspace of their own and never assemble a weight-updating cost,
+	// so they cannot perturb the anneal.
+	rws := c.NewWorkspace()
 	var trace []TraceSample
 	weightFreeze := opt.MaxMoves / 4
 	tracer := func(tp anneal.TracePoint) {
@@ -536,10 +540,9 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 			c.Weights.Adapt(deck)
 		}
 		if opt.RecordTrace {
-			st := c.EvaluateBias(nomX(tp.X))
 			kcl := 0.0
-			if st.Err == nil {
-				kcl = st.MaxKCLError()
+			if rws.EvalBias(nomX(tp.X)) == nil {
+				kcl = rws.MaxKCLError()
 			}
 			trace = append(trace, TraceSample{
 				Move: tp.Move, Cost: tp.Cost, BestCost: tp.BestCost,
@@ -575,8 +578,9 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 					ev.Hustin[moveNames[i]] = q
 				}
 			}
-			if st := c.Evaluate(nomX(tp.X)); st.Err == nil {
-				ev.MaxKCLError = st.MaxKCLError()
+			if rws.Eval(nomX(tp.X)) == nil {
+				ev.MaxKCLError = rws.MaxKCLError()
+				st := rws.State()
 				ev.SpecVals = finiteSpecVals(st.SpecVals)
 				ev.WorstSpec, ev.WorstSpecU = worstSpec(c, st)
 			}
@@ -649,8 +653,9 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 		st = ce.bw.Lane(0).State()
 	} else {
 		best, dcOK = polishDC(context.WithoutCancel(ctx), c, opt.Faults, best)
-		st = c.Evaluate(best)
-		cost = c.CostFromState(st)
+		_ = rws.Eval(best) // the state and the cost carry any failure
+		st = rws.State()
+		cost = rws.Breakdown()
 	}
 	out := &Result{
 		Compiled:  c,

@@ -98,11 +98,65 @@ func TestSynthesizeDivider(t *testing.T) {
 	if gain < 0.95 {
 		t.Errorf("synthesized gain = %g, want ≥ 0.95", gain)
 	}
-	if res.State.MaxKCLError() > 1e-6 {
-		t.Errorf("KCL error = %g", res.State.MaxKCLError())
+	if e := maxKCLError(t, res); e > 1e-6 {
+		t.Errorf("KCL error = %g", e)
 	}
 	if res.EvalCount == 0 || res.TimePerEval() <= 0 {
 		t.Error("evaluation accounting missing")
+	}
+}
+
+// maxKCLError re-evaluates the bias of a nominal run's design on a
+// fresh workspace and returns its worst relative KCL residual.
+func maxKCLError(t *testing.T, res *Result) float64 {
+	t.Helper()
+	ws := res.Compiled.NewWorkspace()
+	if err := ws.EvalBias(res.X); err != nil {
+		t.Fatal(err)
+	}
+	return ws.MaxKCLError()
+}
+
+// TestReportingEvalsDoNotPerturbAnneal pins that progress events and
+// the Fig. 2 trace only observe the run: with a fixed seed, a run that
+// reports every few moves anneals exactly like one that reports
+// nothing.
+func TestReportingEvalsDoNotPerturbAnneal(t *testing.T) {
+	deck := parse(t, diffAmpDeck)
+	base := Options{Seed: 5, MaxMoves: 3000}
+	plain, err := Run(context.Background(), deck, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reported := base
+	reported.RecordTrace = true
+	reported.ProgressEvery = 7
+	events := 0
+	reported.Progress = func(ProgressEvent) { events++ }
+	got, err := Run(context.Background(), deck, reported)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if events == 0 || len(got.Trace) == 0 {
+		t.Fatalf("reporting did not run: %d progress events, %d trace samples", events, len(got.Trace))
+	}
+	if got.Moves != plain.Moves || got.Accepted != plain.Accepted || got.EvalCount != plain.EvalCount {
+		t.Errorf("moves/accepted/evals = %d/%d/%d with reporting, %d/%d/%d without",
+			got.Moves, got.Accepted, got.EvalCount, plain.Moves, plain.Accepted, plain.EvalCount)
+	}
+	if got.Cost != plain.Cost {
+		t.Errorf("cost = %+v with reporting, %+v without", got.Cost, plain.Cost)
+	}
+	if len(got.X) != len(plain.X) {
+		t.Fatalf("len(X) = %d with reporting, %d without", len(got.X), len(plain.X))
+	}
+	for i := range got.X {
+		if got.X[i] != plain.X[i] {
+			t.Errorf("X[%d] = %.17g with reporting, %.17g without", i, got.X[i], plain.X[i])
+		}
+	}
+	if got.Failures.Unstable != plain.Failures.Unstable {
+		t.Errorf("unstable fits = %d with reporting, %d without", got.Failures.Unstable, plain.Failures.Unstable)
 	}
 }
 
@@ -127,8 +181,8 @@ func TestSynthesizeDiffAmp(t *testing.T) {
 			t.Errorf("node %s: |KCL| = %g A, want < 5 nA", n, r)
 		}
 	}
-	if st.MaxKCLError() > 1e-2 {
-		t.Errorf("final relative KCL error = %g, want < 1e-2", st.MaxKCLError())
+	if e := maxKCLError(t, res); e > 1e-2 {
+		t.Errorf("final relative KCL error = %g, want < 1e-2", e)
 	}
 	// Specs: gain target 40 dB, UGF ≥ 1 MHz.
 	adm := st.SpecVals["adm"]

@@ -40,18 +40,10 @@ type Sensitivity struct {
 	Rel float64
 }
 
-// sensBatchK is the lane count of the batched spec evaluator behind
-// Sensitivities. The ±h perturbation points cluster tightly around one
-// design, so their MNA patterns agree and the SoA factorization path
-// engages for essentially every lane.
-const sensBatchK = 8
-
 // Sensitivities computes the relative sensitivity matrix of all specs to
 // all user design variables at x, using central differences with a true
-// Newton bias re-solve per perturbation. The Newton solves run point by
-// point (each needs its own iteration history), but the small-signal
-// spec evaluations of the solved bias points run through the batched
-// K-candidate evaluator. Cancelling ctx aborts between batches.
+// Newton bias re-solve per perturbation. Cancelling ctx aborts between
+// points.
 func Sensitivities(ctx context.Context, c *astrx.Compiled, x []float64) ([]Sensitivity, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -85,9 +77,16 @@ func Sensitivities(ctx context.Context, c *astrx.Compiled, x []float64) ([]Sensi
 		return sign + c.Vars()[(p-1)/2].Name
 	}
 
-	vals, err := simulateBatch(ctx, c, pts, label)
-	if err != nil {
-		return nil, err
+	vals := make([]map[string]float64, len(pts))
+	for p, xp := range pts {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("yield: %w", err)
+		}
+		specs, err := simulateAt(ctx, c, xp)
+		if err != nil {
+			return nil, fmt.Errorf("yield: %s: %w", label(p), err)
+		}
+		vals[p] = specs
 	}
 	base := vals[0]
 
@@ -109,54 +108,6 @@ func Sensitivities(ctx context.Context, c *astrx.Compiled, x []float64) ([]Sensi
 		}
 	}
 	return out, nil
-}
-
-// simulateBatch evaluates all specs at each point's true (Newton-solved)
-// bias, batching the spec evaluations sensBatchK points at a time. Any
-// failed point aborts with an error naming it via label.
-func simulateBatch(ctx context.Context, c *astrx.Compiled, pts [][]float64, label func(int) string) ([]map[string]float64, error) {
-	// Newton-solve every bias point first; each solved full vector feeds
-	// one batch lane.
-	xrs := make([][]float64, len(pts))
-	for p, x := range pts {
-		xr := append([]float64(nil), x...)
-		dp := c.DCProblem(xr)
-		if dp.N() > 0 {
-			v0 := append([]float64(nil), xr[c.NUser:]...)
-			r, err := dcsolve.Solve(ctx, dp, v0, dcsolve.Options{MaxIter: 250, GminSteps: 5})
-			if err != nil {
-				return nil, fmt.Errorf("yield: %s: %w", label(p), err)
-			}
-			copy(xr[c.NUser:], r.V)
-		}
-		xrs[p] = xr
-	}
-
-	bw := c.NewBatchWorkspace(sensBatchK)
-	vals := make([]map[string]float64, len(pts))
-	for off := 0; off < len(xrs); off += sensBatchK {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("yield: %w", err)
-		}
-		end := off + sensBatchK
-		if end > len(xrs) {
-			end = len(xrs)
-		}
-		bw.Run(xrs[off:end])
-		for i := off; i < end; i++ {
-			ws := bw.Lane(i - off)
-			if err := ws.Err(); err != nil {
-				return nil, fmt.Errorf("yield: %s: %w", label(i), err)
-			}
-			st := ws.State()
-			out := make(map[string]float64, len(st.SpecVals))
-			for k, v := range st.SpecVals {
-				out[k] = v
-			}
-			vals[i] = out
-		}
-	}
-	return vals, nil
 }
 
 // TopSensitivities returns the n largest-magnitude entries.
@@ -187,11 +138,7 @@ func simulateAt(ctx context.Context, c *astrx.Compiled, x []float64) (map[string
 	if st.Err != nil {
 		return nil, st.Err
 	}
-	out := make(map[string]float64, len(st.SpecVals))
-	for k, v := range st.SpecVals {
-		out[k] = v
-	}
-	return out, nil
+	return st.SpecVals, nil
 }
 
 // MismatchModel describes the random per-device process variation
