@@ -35,7 +35,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/anneal ./internal/oblx ./internal/faults ./internal/server ./internal/fleet ./internal/metrics ./internal/telemetry ./internal/tenancy ./internal/rescache ./internal/trace
+	$(GO) test -race ./cmd/oblx ./internal/anneal ./internal/oblx ./internal/faults ./internal/server ./internal/fleet ./internal/metrics ./internal/telemetry ./internal/tenancy ./internal/rescache ./internal/trace
 
 # chaos runs the fault-injection suites under the race detector: durable
 # envelope/atomic-write tests, the injector itself (filesystem and

@@ -19,12 +19,12 @@ import (
 	"astrx/internal/astrx"
 	"astrx/internal/awe"
 	"astrx/internal/bench"
-	"astrx/internal/netlist"
 	"astrx/internal/ckttest"
 	"astrx/internal/dcsolve"
 	"astrx/internal/eqbase"
 	"astrx/internal/expr"
 	"astrx/internal/mna"
+	"astrx/internal/netlist"
 	"astrx/internal/oblx"
 )
 
@@ -180,7 +180,7 @@ func BenchmarkFig2Trace(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		if _, err := oblx.Run(context.Background(), d, oblx.Options{
-			Seed: int64(i + 1), MaxMoves: 4000, RecordTrace: true, TraceEvery: 200,
+			Seed: int64(i + 1), MaxMoves: 4000, RecordTrace: true, ProgressEvery: 200,
 		}); err != nil {
 			b.Fatal(err)
 		}

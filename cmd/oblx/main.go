@@ -18,11 +18,13 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -105,7 +107,7 @@ func main() {
 	cornersFlag := flag.String("corners", "", `corners to synthesize against: comma-separated .corner names, "all" (default for cornered decks), or "none" for nominal-only`)
 	faultCorner := flag.String("fault-corner", "", "permanently fail this corner's evaluations (chaos testing)")
 	showMetrics := flag.Bool("metrics", false, "print a run-metrics summary (Prometheus text format) at exit")
-	traceOut := flag.String("trace-out", "", "write a flight-recorder trace (one JSON move record per line) to this file")
+	traceOut := flag.String("trace-out", "", "stream a flight-recorder trace (one JSON progress event per line, written as the run progresses) to this file")
 	traceEvery := flag.Int("trace-every", 100, "moves between trace records (with -trace-out)")
 	traceSpans := flag.String("trace-spans", "", "write the run's distributed-trace spans (JSONL: snapshot header + one span per line) to this file")
 	stageSample := flag.Int("stage-sample", 0, "sample 1 in N evaluations for per-stage timing, printed at exit (0: off)")
@@ -206,19 +208,19 @@ func main() {
 			})
 		}
 	}
-	var flight *telemetry.FlightRecorder
+	var tw *traceWriter
 	if *traceOut != "" {
-		// Record every progress event into an unbounded-enough ring; the
-		// CLI trace is the whole run, not just the last moves.
-		every := *traceEvery
-		if every < 1 {
-			every = 100
+		// The CLI trace is the whole run, not just the last moves: every
+		// progress event is written as it arrives.
+		if tw, err = newTraceWriter(*traceOut); err != nil {
+			fmt.Fprintln(os.Stderr, "oblx:", err)
+			os.Exit(1)
 		}
-		flight = telemetry.NewFlightRecorder((*moves/every + 16) * *runs)
-		opt.ProgressEvery = every
-		opt.Progress = func(ev oblx.ProgressEvent) {
-			flight.Record(ev.FlightRecord())
+		opt.ProgressEvery = *traceEvery
+		if opt.ProgressEvery < 1 {
+			opt.ProgressEvery = 100
 		}
+		opt.Progress = tw.write
 	}
 	if *faultPanic > 0 || *faultNaN > 0 || *faultNewton > 0 || *faultCorner != "" {
 		rates := faults.Rates{
@@ -239,13 +241,15 @@ func main() {
 		fmt.Printf("resuming from %s (move %d of %d)\n", *ckptPath, ck.Anneal.Move, ck.MaxMoves)
 	}
 
-	// The trace is most valuable when the run dies, so it is written on
+	// The trace is most valuable when the run dies, so it is closed on
 	// the error exits too, not just after a clean finish. The span dump
 	// follows the same rule: end the root with the outcome, then write.
 	dumpTrace := func(status string) {
-		if flight != nil {
-			if err := writeTrace(*traceOut, flight); err != nil {
+		if tw != nil {
+			if err := tw.close(); err != nil {
 				fmt.Fprintln(os.Stderr, "oblx: warning:", err)
+			} else {
+				fmt.Fprintf(os.Stderr, "oblx: wrote %d trace records to %s\n", tw.n, *traceOut)
 			}
 		}
 		if spanRec != nil {
@@ -370,22 +374,48 @@ func main() {
 	}
 }
 
-// writeTrace dumps the flight-recorder ring to path as JSONL, one move
-// record per line, oldest first.
-func writeTrace(path string, flight *telemetry.FlightRecorder) error {
-	recs := flight.Snapshot()
+// traceWriter streams progress events to a file as JSONL, one line per
+// event as it arrives. RunBest's parallel runs report concurrently, so
+// writes are serialised.
+type traceWriter struct {
+	mu  sync.Mutex
+	f   *os.File
+	enc *json.Encoder
+	n   int   // events written
+	err error // first write error
+}
+
+func newTraceWriter(path string) (*traceWriter, error) {
 	f, err := os.Create(path)
 	if err != nil {
-		return fmt.Errorf("trace: %w", err)
+		return nil, fmt.Errorf("trace: %w", err)
 	}
-	if err := telemetry.WriteJSONL(f, recs); err != nil {
-		f.Close()
-		return fmt.Errorf("trace: %w", err)
+	return &traceWriter{f: f, enc: json.NewEncoder(f)}, nil
+}
+
+// write appends ev to the trace. After the first failure it drops
+// events; close reports the error.
+func (w *traceWriter) write(ev oblx.ProgressEvent) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.err != nil {
+		return
 	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("trace: %w", err)
+	if w.err = w.enc.Encode(&ev); w.err == nil {
+		w.n++
 	}
-	fmt.Fprintf(os.Stderr, "oblx: wrote %d trace records to %s\n", len(recs), path)
+}
+
+// close closes the file, reporting the first write or close error.
+func (w *traceWriter) close() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if err := w.f.Close(); w.err == nil {
+		w.err = err
+	}
+	if w.err != nil {
+		return fmt.Errorf("trace: %w", w.err)
+	}
 	return nil
 }
 

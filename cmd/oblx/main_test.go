@@ -1,10 +1,19 @@
 package main
 
 import (
+	"bufio"
+	"bytes"
+	"context"
+	"encoding/json"
 	"io/fs"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"astrx/internal/bench"
+	"astrx/internal/netlist"
+	"astrx/internal/oblx"
 )
 
 func statExists(string) (os.FileInfo, error)  { return nil, nil }
@@ -100,5 +109,66 @@ func TestFlagProblems(t *testing.T) {
 				t.Errorf("got %d problems %q, want %d", len(probs), joined, len(tc.wantSubs))
 			}
 		})
+	}
+}
+
+// TestTraceWriterConcurrentRuns streams the progress events of parallel
+// RunBest runs through one trace writer: every line must decode as a
+// whole ProgressEvent, and every run must appear.
+func TestTraceWriterConcurrentRuns(t *testing.T) {
+	deck, err := netlist.Parse(bench.DeckSource(bench.SimpleOTA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	tw, err := newTraceWriter(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 3
+	_, _, errs := oblx.RunBest(context.Background(), deck, runs, oblx.Options{
+		Seed: 1, MaxMoves: 400, NoFreeze: true,
+		ProgressEvery: 20, Progress: tw.write,
+	})
+	for i, e := range errs {
+		if e != nil {
+			t.Fatalf("run %d: %v", i, e)
+		}
+	}
+	if err := tw.close(); err != nil {
+		t.Fatal(err)
+	}
+
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	lines := 0
+	perRun := map[int]int{}
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		lines++
+		var ev oblx.ProgressEvent
+		dec := json.NewDecoder(bytes.NewReader(sc.Bytes()))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatalf("line %d is not a ProgressEvent: %v\n%s", lines, err, sc.Text())
+		}
+		if ev.MaxMoves != 400 {
+			t.Fatalf("line %d: max_moves %d, want 400", lines, ev.MaxMoves)
+		}
+		perRun[ev.Run]++
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if lines != tw.n {
+		t.Fatalf("file has %d lines, writer counted %d", lines, tw.n)
+	}
+	for r := 0; r < runs; r++ {
+		if want := 400 / 20; perRun[r] != want {
+			t.Errorf("run %d: %d events, want %d", r, perRun[r], want)
+		}
 	}
 }

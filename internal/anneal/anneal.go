@@ -113,9 +113,10 @@ type Move interface {
 	Feedback(accepted bool, dCost float64)
 }
 
-// TracePoint is a periodic snapshot for experiment instrumentation
-// (Fig. 2 uses the cost terms recorded along the run) and the flight
-// recorder's raw material.
+// TracePoint is the annealer's periodic progress snapshot, delivered to
+// Options.Progress. It is the producer side only: callers convert it into
+// their own event type (OBLX's ProgressEvent, which feeds the SSE stream,
+// the flight recorder and the Fig. 2 trace).
 type TracePoint struct {
 	Move     int
 	Temp     float64
@@ -155,17 +156,20 @@ type Options struct {
 	FreezeStages int     // 0 → 8; < 0 → never freeze
 	FreezeTol    float64 // 0 → 1e-4
 
-	// Trace, when set, receives a TracePoint every TraceEvery moves.
-	Trace      func(TracePoint)
-	TraceEvery int // 0 → 500
+	// Adapt, when set together with a positive AdaptEvery, is called with
+	// the move index every AdaptEvery moves on the post-acceptance path
+	// (declined, no-op and non-finite proposals skip it) — the seam for a
+	// caller whose cost function adapts along the run, like OBLX's
+	// constraint weights.
+	Adapt      func(move int)
+	AdaptEvery int
 
 	// Progress, when set together with a positive ProgressEvery, receives
 	// a TracePoint at the top of every ProgressEvery-th move — before the
-	// proposal, unconditionally. Unlike Trace (which fires on the
-	// post-acceptance path and is skipped by rejected/no-op proposals),
-	// Progress is a liveness signal: a run whose proposals all fail still
-	// reports temperature and best-so-far on schedule. It is invoked
-	// synchronously on the annealing goroutine; keep it cheap or hand off.
+	// proposal, unconditionally. Unlike Adapt, Progress is a liveness
+	// signal: a run whose proposals all fail still reports temperature
+	// and best-so-far on schedule. It is invoked synchronously on the
+	// annealing goroutine; keep it cheap or hand off.
 	Progress      func(TracePoint)
 	ProgressEvery int
 
@@ -205,9 +209,6 @@ func (o *Options) defaults() {
 	}
 	if o.FreezeTol == 0 {
 		o.FreezeTol = 1e-4
-	}
-	if o.TraceEvery == 0 {
-		o.TraceEvery = 500
 	}
 }
 
@@ -355,8 +356,7 @@ func Run(ctx context.Context, p Problem, moves []Move, opt Options) (*Result, er
 	froze := false
 	cancelled := false
 
-	// Last-proposal outcome, surfaced through TracePoint for the flight
-	// recorder.
+	// Last-proposal outcome, surfaced through TracePoint.
 	var (
 		lastClass    string
 		lastAccepted bool
@@ -485,8 +485,8 @@ func Run(ctx context.Context, p Problem, moves []Move, opt Options) (*Result, er
 			copy(best, cur)
 		}
 
-		if opt.Trace != nil && mv%opt.TraceEvery == 0 {
-			opt.Trace(snap())
+		if opt.Adapt != nil && opt.AdaptEvery > 0 && mv%opt.AdaptEvery == 0 {
+			opt.Adapt(mv)
 		}
 
 		// Stage bookkeeping for the freezing criterion.

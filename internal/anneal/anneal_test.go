@@ -157,7 +157,7 @@ func TestTrace(t *testing.T) {
 	moves := []Move{NewRandomStep("single", p.vars, 0.25)}
 	_, err := Run(context.Background(), p, moves, Options{
 		Seed: 9, MaxMoves: 10_000,
-		Trace: func(tp TracePoint) { pts = append(pts, tp) }, TraceEvery: 100,
+		Progress: func(tp TracePoint) { pts = append(pts, tp) }, ProgressEvery: 100,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -38,10 +38,10 @@ func TestRunCancellationReturnsBestSoFar(t *testing.T) {
 	var cancelledAt int
 	opt := Options{
 		Seed: 5, MaxMoves: 1_000_000, FreezeStages: -1,
-		TraceEvery: 100,
-		Trace: func(tp TracePoint) {
-			if tp.Move >= 2000 && cancelledAt == 0 {
-				cancelledAt = tp.Move
+		AdaptEvery: 100,
+		Adapt: func(mv int) {
+			if mv >= 2000 && cancelledAt == 0 {
+				cancelledAt = mv
 				cancel()
 			}
 		},
@@ -135,9 +135,9 @@ func resumeRun(t *testing.T, p Problem, opt Options, cancelAt int) *Result {
 	ctx, cancel := context.WithCancel(context.Background())
 	var last *Checkpoint
 	leg1 := opt
-	leg1.TraceEvery = 50
-	leg1.Trace = func(tp TracePoint) {
-		if tp.Move >= cancelAt {
+	leg1.AdaptEvery = 50
+	leg1.Adapt = func(mv int) {
+		if mv >= cancelAt {
 			cancel()
 		}
 	}

@@ -6,9 +6,10 @@ import (
 	"testing"
 )
 
-// TestTracePointFlightFields verifies the flight-recorder fields added to
-// TracePoint: move class, acceptance outcome, Δcost, Lam target, and the
-// Hustin quality snapshot, on both the Progress and Trace paths.
+// TestTracePointFlightFields verifies the flight-recorder fields of the
+// Progress snapshot: move class, acceptance outcome, Δcost, Lam target,
+// and the Hustin quality snapshot — and that the post-acceptance Adapt
+// hook fires on its own cadence.
 func TestTracePointFlightFields(t *testing.T) {
 	p := &funcProblem{
 		vars: contVars(3, -5, 5),
@@ -26,17 +27,23 @@ func TestTracePointFlightFields(t *testing.T) {
 	}
 	classNames := map[string]bool{"single": true, "all": true}
 
-	var progress, trace []TracePoint
+	var progress []TracePoint
+	var adapted []int
 	_, err := Run(context.Background(), p, moves, Options{
 		Seed: 7, MaxMoves: 4000, FreezeStages: -1,
 		Progress: func(tp TracePoint) { progress = append(progress, tp) }, ProgressEvery: 100,
-		Trace: func(tp TracePoint) { trace = append(trace, tp) }, TraceEvery: 100,
+		Adapt: func(mv int) { adapted = append(adapted, mv) }, AdaptEvery: 100,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(progress) == 0 || len(trace) == 0 {
-		t.Fatalf("no events: %d progress, %d trace", len(progress), len(trace))
+	if len(progress) == 0 || len(adapted) == 0 {
+		t.Fatalf("no events: %d progress, %d adapt calls", len(progress), len(adapted))
+	}
+	for _, mv := range adapted {
+		if mv%100 != 0 {
+			t.Fatalf("Adapt called at move %d, want multiples of 100", mv)
+		}
 	}
 
 	// The first progress event fires before any proposal: class empty.
@@ -44,7 +51,7 @@ func TestTracePointFlightFields(t *testing.T) {
 		t.Errorf("first progress = move %d class %q, want move 0 class \"\"", progress[0].Move, progress[0].MoveClass)
 	}
 	var sawAccepted, sawRejected bool
-	for _, tp := range append(progress[1:], trace...) {
+	for _, tp := range progress[1:] {
 		if !classNames[tp.MoveClass] {
 			t.Fatalf("move %d: unknown move class %q", tp.Move, tp.MoveClass)
 		}
@@ -75,10 +82,10 @@ func TestTracePointFlightFields(t *testing.T) {
 		t.Error("no event recorded a rejected move")
 	}
 
-	// Trace fires on the post-acceptance path: every trace point's DCost
-	// must be consistent with its acceptance (accepted uphill moves exist,
-	// but an accepted move with d <= 0 must always be accepted).
-	for _, tp := range trace {
+	// Every snapshot's DCost must be consistent with its acceptance
+	// (accepted uphill moves exist, but a downhill move is always
+	// accepted).
+	for _, tp := range progress {
 		if tp.DCost < 0 && !tp.Accepted {
 			t.Fatalf("move %d: downhill move (d=%g) reported rejected", tp.Move, tp.DCost)
 		}

@@ -208,7 +208,7 @@ func FormatTable3(res *SynthResult) string {
 
 // Fig2 runs the Simple OTA with trace recording and returns the KCL
 // discrepancy series the paper plots.
-func Fig2(ctx context.Context, opt SynthOptions) ([]oblx.TraceSample, error) {
+func Fig2(ctx context.Context, opt SynthOptions) ([]oblx.ProgressEvent, error) {
 	d, err := Parse(SimpleOTA)
 	if err != nil {
 		return nil, err
@@ -226,7 +226,7 @@ func Fig2(ctx context.Context, opt SynthOptions) ([]oblx.TraceSample, error) {
 }
 
 // FormatFig2 renders the trace as a text series plus a crude log plot.
-func FormatFig2(trace []oblx.TraceSample) string {
+func FormatFig2(trace []oblx.ProgressEvent) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "FIG 2. DISCREPANCY FROM KCL-CORRECT VOLTAGES DURING OPTIMIZATION\n")
 	fmt.Fprintf(&b, "%8s %12s %12s\n", "move", "maxKCLerr", "cost")

@@ -383,7 +383,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	if hb.Progress != nil {
 		ev := *hb.Progress
 		ev.Run = hb.Run
-		c.mgr.RecordExternalProgress(job, ev)
+		c.mgr.RecordProgress(job, ev)
 	}
 	if !resp.Cancel && job.UserCancelled() {
 		resp.Cancel = true

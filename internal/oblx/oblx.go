@@ -55,17 +55,18 @@ type Options struct {
 	// run. Unknown names are an error.
 	Corners []string
 
-	// RecordTrace enables the Fig. 2 instrumentation: KCL error and cost
-	// snapshots along the run.
+	// RecordTrace enables the Fig. 2 instrumentation: every progress
+	// event (see Progress) is also kept in Result.Trace.
 	RecordTrace bool
-	TraceEvery  int // moves between snapshots (0 → 500)
 
 	// Progress, when set, receives a ProgressEvent every ProgressEvery
 	// moves (0 → 500) — the streaming-telemetry hook the synthesis
 	// service uses for its SSE feed. Each event costs one extra circuit
 	// evaluation (spec values and the KCL residual are measured at the
 	// current point), so the default cadence adds ~0.2% overhead. The
-	// callback runs synchronously on the annealing goroutine.
+	// callback runs synchronously on the annealing goroutine. Events only
+	// observe the run: neither the callback nor its cadence changes the
+	// anneal.
 	Progress      ProgressFunc
 	ProgressEvery int
 
@@ -108,8 +109,8 @@ func (o *Options) defaults() {
 	if o.MaxMoves == 0 {
 		o.MaxMoves = 150_000
 	}
-	if o.TraceEvery == 0 {
-		o.TraceEvery = 500
+	if o.ProgressEvery <= 0 {
+		o.ProgressEvery = 500
 	}
 	if o.CheckpointEvery == 0 {
 		o.CheckpointEvery = 5000
@@ -119,7 +120,10 @@ func (o *Options) defaults() {
 // ProgressEvent is one streaming telemetry sample of a live run: where
 // the annealing is (move count, temperature, acceptance ratio), how good
 // the design is so far (cost, best cost, spec values), and how far from
-// dc-correctness the relaxed formulation currently sits (KCL error).
+// dc-correctness the relaxed formulation currently sits (KCL error). It
+// is the one annealer event above package anneal: the SSE feed, the
+// daemon's flight recorder, oblx -trace-out and the Fig. 2 trace
+// (Result.Trace) all carry it.
 type ProgressEvent struct {
 	// Run is the RunBest run index (0 for single runs).
 	Run      int   `json:"run"`
@@ -134,15 +138,16 @@ type ProgressEvent struct {
 	BestCost    float64 `json:"best_cost"`
 	// MaxKCLError is the worst relative KCL residual at the current
 	// point — the paper's Fig. 2 "discrepancy from KCL-correct voltages".
+	// It is measured whenever the bias solve succeeds, even if a later
+	// stage of the evaluation fails.
 	MaxKCLError float64 `json:"max_kcl_error"`
 	// SpecVals are the measured spec values at the current point (nil
 	// when the point fails to evaluate).
 	SpecVals map[string]float64 `json:"spec_vals,omitempty"`
 
-	// Flight-recorder fields (see telemetry.MoveRecord): the most recent
-	// proposal's class and outcome, the Lam controller's target
-	// acceptance ratio, and the Hustin selector's per-class quality
-	// weights at this point of the run.
+	// The most recent proposal's class and outcome, the Lam controller's
+	// target acceptance ratio, and the Hustin selector's per-class
+	// quality weights at this point of the run.
 	MoveClass string             `json:"move_class,omitempty"`
 	Accepted  bool               `json:"accepted,omitempty"`
 	DCost     float64            `json:"dcost,omitempty"`
@@ -158,30 +163,6 @@ type ProgressEvent struct {
 	// tracing is off) — the exemplar link from a flight-recorder record
 	// back into the job's span tree.
 	SpanID string `json:"span_id,omitempty"`
-}
-
-// FlightRecord projects the event into the telemetry package's
-// flight-recorder record — the daemon's ring buffer and oblx -trace-out
-// both store this shape.
-func (ev ProgressEvent) FlightRecord() telemetry.MoveRecord {
-	return telemetry.MoveRecord{
-		Run:         ev.Run,
-		Move:        ev.Move,
-		MoveClass:   ev.MoveClass,
-		Accepted:    ev.Accepted,
-		DCost:       ev.DCost,
-		Temp:        ev.Temp,
-		LamTarget:   ev.LamTarget,
-		AccRatio:    ev.AcceptRatio,
-		Cost:        ev.Cost,
-		BestCost:    ev.BestCost,
-		Hustin:      ev.Hustin,
-		MaxKCLError: ev.MaxKCLError,
-		WorstSpec:   ev.WorstSpec,
-		WorstSpecU:  ev.WorstSpecU,
-		Evals:       int64(ev.Evals),
-		SpanID:      ev.SpanID,
-	}
 }
 
 // ProgressFunc receives streaming progress from a running synthesis.
@@ -202,17 +183,6 @@ func finiteSpecVals(m map[string]float64) map[string]float64 {
 		}
 	}
 	return out
-}
-
-// TraceSample is one Fig. 2 data point.
-type TraceSample struct {
-	Move     int
-	Cost     float64
-	BestCost float64
-	Temp     float64
-	// MaxKCLError is the worst relative KCL residual — the "discrepancy
-	// from KCL-correct voltages" the paper plots.
-	MaxKCLError float64
 }
 
 // FailureStats counts the numerical failures a run absorbed. A healthy
@@ -304,8 +274,10 @@ type Result struct {
 	Duration  time.Duration
 	EvalCount int
 	MoveStats []anneal.MoveStat
-	Trace     []TraceSample
-	Seed      int64
+	// Trace is the Fig. 2 series: every progress event of the run, kept
+	// when Options.RecordTrace is set.
+	Trace []ProgressEvent
+	Seed  int64
 
 	// Degraded reports that at least one corner was quarantined: the
 	// returned design is the worst-case optimum over the surviving
@@ -332,6 +304,12 @@ func (r *Result) TimePerEval() time.Duration {
 	}
 	return r.Duration / time.Duration(r.EvalCount)
 }
+
+// weightAdaptEvery is the move interval between constraint-weight
+// adaptations (astrx.Weights.Adapt) during the first quarter of a run.
+// It is fixed, not tied to any reporting cadence, so asking for denser
+// progress events or a denser Fig. 2 trace anneals the same problem.
+const weightAdaptEvery = 500
 
 // evalRetries bounds the retry-then-quarantine policy: a failed
 // evaluation (panic or non-finite cost) is retried this many times —
@@ -526,44 +504,30 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 	asp.SetAttr("seed", strconv.FormatInt(opt.Seed, 10))
 	asp.SetAttr("max_moves", strconv.Itoa(opt.MaxMoves))
 
-	// Reporting evals (progress, the Fig. 2 trace, the final state) run on
-	// a workspace of their own and never assemble a weight-updating cost,
+	// Reporting evals (progress events, the final state) run on a
+	// workspace of their own and never assemble a weight-updating cost,
 	// so they cannot perturb the anneal.
 	rws := c.NewWorkspace()
-	var trace []TraceSample
+	var trace []ProgressEvent
+	// Adaptive weights settle during the first quarter of the run;
+	// afterwards the cost function is stationary (the annealer's
+	// best-so-far bookkeeping is re-based at the freeze point).
 	weightFreeze := opt.MaxMoves / 4
-	tracer := func(tp anneal.TracePoint) {
-		// Adaptive weights settle during the first quarter of the run;
-		// afterwards the cost function is stationary (the annealer's
-		// best-so-far bookkeeping is re-based at the freeze point).
-		if tp.Move < weightFreeze {
-			c.Weights.Adapt(deck)
-		}
-		if opt.RecordTrace {
-			kcl := 0.0
-			if rws.EvalBias(nomX(tp.X)) == nil {
-				kcl = rws.MaxKCLError()
-			}
-			trace = append(trace, TraceSample{
-				Move: tp.Move, Cost: tp.Cost, BestCost: tp.BestCost,
-				Temp: tp.Temp, MaxKCLError: kcl,
-			})
-		}
-	}
-
 	annealOpt := anneal.Options{
-		Seed:        opt.Seed,
-		MaxMoves:    opt.MaxMoves,
-		Trace:       tracer,
-		TraceEvery:  opt.TraceEvery,
+		Seed:     opt.Seed,
+		MaxMoves: opt.MaxMoves,
+		Adapt: func(mv int) {
+			if mv < weightFreeze {
+				c.Weights.Adapt(deck)
+			}
+		},
+		AdaptEvery:  weightAdaptEvery,
 		BestResetAt: weightFreeze,
 	}
-	if opt.Progress != nil {
-		every := opt.ProgressEvery
-		if every <= 0 {
-			every = 500
-		}
-		annealOpt.ProgressEvery = every
+	if opt.Progress != nil || opt.RecordTrace {
+		// The one place an annealer snapshot becomes a ProgressEvent, for
+		// the Progress callback and the Fig. 2 trace alike.
+		annealOpt.ProgressEvery = opt.ProgressEvery
 		annealOpt.Progress = func(tp anneal.TracePoint) {
 			ev := ProgressEvent{
 				Move: tp.Move, MaxMoves: opt.MaxMoves, Evals: p.evals,
@@ -571,6 +535,7 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 				Cost: tp.Cost, BestCost: tp.BestCost,
 				MoveClass: tp.MoveClass, Accepted: tp.Accepted,
 				DCost: tp.DCost, LamTarget: tp.LamTarget,
+				SpanID: asp.ID(),
 			}
 			if len(tp.Quality) == len(moveNames) {
 				ev.Hustin = make(map[string]float64, len(moveNames))
@@ -578,14 +543,23 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 					ev.Hustin[moveNames[i]] = q
 				}
 			}
-			if rws.Eval(nomX(tp.X)) == nil {
+			x := nomX(tp.X)
+			if rws.Eval(x) == nil {
 				ev.MaxKCLError = rws.MaxKCLError()
 				st := rws.State()
 				ev.SpecVals = finiteSpecVals(st.SpecVals)
 				ev.WorstSpec, ev.WorstSpecU = worstSpec(c, st)
+			} else if rws.EvalBias(x) == nil {
+				// The failure came after the bias stage: the KCL
+				// discrepancy is still measured.
+				ev.MaxKCLError = rws.MaxKCLError()
 			}
-			ev.SpanID = asp.ID()
-			opt.Progress(ev)
+			if opt.RecordTrace {
+				trace = append(trace, ev)
+			}
+			if opt.Progress != nil {
+				opt.Progress(ev)
+			}
 		}
 	}
 	if opt.NoFreeze {

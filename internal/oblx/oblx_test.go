@@ -2,6 +2,7 @@ package oblx
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -119,8 +120,9 @@ func maxKCLError(t *testing.T, res *Result) float64 {
 
 // TestReportingEvalsDoNotPerturbAnneal pins that progress events and
 // the Fig. 2 trace only observe the run: with a fixed seed, a run that
-// reports every few moves anneals exactly like one that reports
-// nothing.
+// reports at any cadence anneals exactly like one that reports nothing.
+// The reporting cadence must not leak into the constraint-weight
+// adaptation schedule either.
 func TestReportingEvalsDoNotPerturbAnneal(t *testing.T) {
 	deck := parse(t, diffAmpDeck)
 	base := Options{Seed: 5, MaxMoves: 3000}
@@ -128,35 +130,39 @@ func TestReportingEvalsDoNotPerturbAnneal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reported := base
-	reported.RecordTrace = true
-	reported.ProgressEvery = 7
-	events := 0
-	reported.Progress = func(ProgressEvent) { events++ }
-	got, err := Run(context.Background(), deck, reported)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if events == 0 || len(got.Trace) == 0 {
-		t.Fatalf("reporting did not run: %d progress events, %d trace samples", events, len(got.Trace))
-	}
-	if got.Moves != plain.Moves || got.Accepted != plain.Accepted || got.EvalCount != plain.EvalCount {
-		t.Errorf("moves/accepted/evals = %d/%d/%d with reporting, %d/%d/%d without",
-			got.Moves, got.Accepted, got.EvalCount, plain.Moves, plain.Accepted, plain.EvalCount)
-	}
-	if got.Cost != plain.Cost {
-		t.Errorf("cost = %+v with reporting, %+v without", got.Cost, plain.Cost)
-	}
-	if len(got.X) != len(plain.X) {
-		t.Fatalf("len(X) = %d with reporting, %d without", len(got.X), len(plain.X))
-	}
-	for i := range got.X {
-		if got.X[i] != plain.X[i] {
-			t.Errorf("X[%d] = %.17g with reporting, %.17g without", i, got.X[i], plain.X[i])
-		}
-	}
-	if got.Failures.Unstable != plain.Failures.Unstable {
-		t.Errorf("unstable fits = %d with reporting, %d without", got.Failures.Unstable, plain.Failures.Unstable)
+	for _, every := range []int{7, 200, 500} {
+		t.Run(fmt.Sprintf("every_%d", every), func(t *testing.T) {
+			reported := base
+			reported.RecordTrace = true
+			reported.ProgressEvery = every
+			events := 0
+			reported.Progress = func(ProgressEvent) { events++ }
+			got, err := Run(context.Background(), deck, reported)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if events == 0 || len(got.Trace) != events {
+				t.Fatalf("reporting did not run: %d progress events, %d trace samples", events, len(got.Trace))
+			}
+			if got.Moves != plain.Moves || got.Accepted != plain.Accepted || got.EvalCount != plain.EvalCount {
+				t.Errorf("moves/accepted/evals = %d/%d/%d with reporting, %d/%d/%d without",
+					got.Moves, got.Accepted, got.EvalCount, plain.Moves, plain.Accepted, plain.EvalCount)
+			}
+			if got.Cost != plain.Cost {
+				t.Errorf("cost = %+v with reporting, %+v without", got.Cost, plain.Cost)
+			}
+			if len(got.X) != len(plain.X) {
+				t.Fatalf("len(X) = %d with reporting, %d without", len(got.X), len(plain.X))
+			}
+			for i := range got.X {
+				if got.X[i] != plain.X[i] {
+					t.Errorf("X[%d] = %.17g with reporting, %.17g without", i, got.X[i], plain.X[i])
+				}
+			}
+			if got.Failures.Unstable != plain.Failures.Unstable {
+				t.Errorf("unstable fits = %d with reporting, %d without", got.Failures.Unstable, plain.Failures.Unstable)
+			}
+		})
 	}
 }
 

@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"time"
 
 	"astrx/internal/durable"
@@ -55,6 +54,7 @@ func (m *Manager) ClaimQueued() *Job {
 		j.state = StateRunning
 		j.started = time.Now()
 		j.lastTick = j.started
+		j.evalMarks = nil
 		attempt := j.attempts + 1
 		j.publishLocked(Event{Type: "state", State: StateRunning})
 		j.mu.Unlock()
@@ -66,42 +66,6 @@ func (m *Manager) ClaimQueued() *Job {
 		m.jlog(j).Info("job running", "state", StateRunning, "attempt", attempt)
 		return j
 	}
-}
-
-// RecordExternalProgress feeds one progress event from an external
-// worker into the job: SSE fan-out, best-cost tracking, throughput
-// metrics, the flight recorder, and the liveness tick — the same
-// accounting a local run's Progress callback performs.
-func (m *Manager) RecordExternalProgress(j *Job, ev oblx.ProgressEvent) {
-	now := time.Now()
-	m.jobTelem(j).flight.Record(ev.FlightRecord())
-	m.mAccept.Set(ev.AcceptRatio)
-
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != StateRunning {
-		return // late event from a fenced or finished run
-	}
-	if j.extEvals == nil {
-		j.extEvals = make(map[int]int)
-		j.extTime = make(map[int]time.Time)
-	}
-	if prev, ok := j.extEvals[ev.Run]; ok && ev.Evals > prev {
-		m.mEvals.Add(int64(ev.Evals - prev))
-		if dt := now.Sub(j.extTime[ev.Run]).Seconds(); dt > 0 {
-			m.mEvalRate.Set(float64(ev.Evals-prev) / dt)
-		}
-	}
-	j.extEvals[ev.Run] = ev.Evals
-	j.extTime[ev.Run] = now
-
-	p := ev
-	j.lastProg = &p
-	j.lastTick = now
-	if math.IsNaN(j.bestCost) || ev.BestCost < j.bestCost {
-		j.bestCost = ev.BestCost
-	}
-	j.publishLocked(Event{Type: "progress", Prog: &p})
 }
 
 // CompleteExternal commits a result shipped by the job's leaseholder,
@@ -119,39 +83,8 @@ func (m *Manager) CompleteExternal(j *Job, result *JobResult) error {
 	}
 	result.ID = j.ID
 	result.State = state
-
-	// Remove the crash-recovery checkpoint before the terminal state
-	// becomes observable, same ordering as finishJob.
-	m.removeCheckpoint(j, state)
-
-	now := time.Now()
-	j.mu.Lock()
-	if j.state != StateRunning {
-		st := j.state
-		j.mu.Unlock()
-		return fmt.Errorf("server: job %s is %s, not running; completion rejected", j.ID, st)
-	}
-	j.state = state
-	j.err = result.Error
-	j.finished = now
-	j.result = result
-	j.publishLocked(Event{Type: "state", State: state, Error: result.Error})
-	started := j.started
-	j.mu.Unlock()
-
-	m.reg.Counter("oblxd_jobs_finished_total", "state", string(state)).Inc()
-	if !started.IsZero() {
-		m.mJobSecs.Observe(now.Sub(started).Seconds())
-	}
-	if err := m.persist(j); err != nil {
-		m.jlog(j).Error("persist failed", "err", err)
-	}
-	m.cacheStore(j, state, result)
-	m.endJobTrace(j, traceStatus(state), string(state))
-	if result.Error != "" {
-		m.jlog(j).Warn("job finished", "state", state, "err", result.Error)
-	} else {
-		m.jlog(j).Info("job finished", "state", state)
+	if err := m.commitTerminal(j, result, time.Now()); err != nil {
+		return err
 	}
 
 	m.mu.Lock()

@@ -17,7 +17,6 @@ import (
 	"astrx/internal/netlist"
 	"astrx/internal/oblx"
 	"astrx/internal/retry"
-	"astrx/internal/telemetry"
 )
 
 // getJSON fetches a URL and decodes the JSON body into v, returning the
@@ -115,7 +114,8 @@ func TestFlightSnapshotSurvivesRestart(t *testing.T) {
 		sum.Records < 1 || sum.LastMove == nil {
 		t.Fatalf("snapshot telemetry: %+v", sum)
 	}
-	if sum.LastMove.Move != 17 || sum.LastMove.MoveClass != "random" || !sum.LastMove.Accepted {
+	if sum.LastMove.Move != 17 || sum.LastMove.MoveClass != "random" || !sum.LastMove.Accepted ||
+		sum.LastMove.AcceptRatio != 0.5 {
 		t.Fatalf("last move corrupted across restart: %+v", sum.LastMove)
 	}
 
@@ -137,12 +137,13 @@ func TestFlightSnapshotSurvivesRestart(t *testing.T) {
 		if strings.TrimSpace(sc.Text()) == "" {
 			continue
 		}
-		var rec telemetry.MoveRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+		var ev oblx.ProgressEvent
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 			t.Fatalf("moves line %d: %v", got+1, err)
 		}
-		if rec.Move != 17 {
-			t.Errorf("moves line %d: move %d, want 17", got+1, rec.Move)
+		if ev.Move != 17 || ev.AcceptRatio != 0.5 || ev.MaxMoves != 1000 {
+			t.Errorf("moves line %d: move %d accept_ratio %g max_moves %d, want 17/0.5/1000",
+				got+1, ev.Move, ev.AcceptRatio, ev.MaxMoves)
 		}
 		got++
 	}

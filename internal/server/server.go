@@ -208,10 +208,10 @@ type Job struct {
 	traceRemote string
 	// resume holds the checkpoint to continue from, set during recovery.
 	resume *oblx.Checkpoint
-	// extEvals/extTime track per-run eval watermarks for progress events
-	// fed by external fleet workers (nil for locally-executed jobs).
-	extEvals map[int]int
-	extTime  map[int]time.Time
+	// evalMarks is the current attempt's per-run eval watermark:
+	// RecordProgress turns the deltas against it into the evals counter
+	// and the evals/sec gauge. Reset when an attempt starts.
+	evalMarks map[int]evalMark
 	// telem holds the job's flight recorder + stage timer, created on
 	// the first run attempt; nil for jobs that never ran under this
 	// daemon incarnation.
@@ -401,7 +401,7 @@ type Options struct {
 	// docs/observability.md.
 	TelemetrySampleEvery int
 	// FlightRecords is the per-job flight-recorder ring capacity
-	// (0 → telemetry.DefaultFlightRecords).
+	// (0 → 2048 progress events).
 	FlightRecords int
 	// TraceRecords is the per-job sampled-eval span ring capacity for
 	// distributed tracing (0 → trace.DefaultRingCap). Lifecycle spans
@@ -444,7 +444,7 @@ type Options struct {
 	// keeps owning the durable job store, the queue, and the event
 	// streams, but spawns no local synthesis workers and no stall
 	// watchdog — a fleet coordinator (internal/fleet) drives jobs through
-	// ClaimQueued / RecordExternalProgress / CompleteExternal and
+	// ClaimQueued / RecordProgress / CompleteExternal and
 	// supervises liveness with leases instead. Standalone daemons leave
 	// this false and behave exactly as before.
 	ExternalExec bool
@@ -477,10 +477,10 @@ type Manager struct {
 	tenantsSeen map[string]bool
 	// batches groups child jobs of POST /v1/batches (in-memory; the
 	// children themselves are durable).
-	batches map[string]*Batch
-	running     int
-	draining    bool
-	degraded    bool
+	batches  map[string]*Batch
+	running  int
+	draining bool
+	degraded bool
 	// fleetHealth, when set (SetFleetHealth), contributes the fleet
 	// section of /healthz in coordinator mode.
 	fleetHealth func() *FleetHealth
@@ -1066,6 +1066,7 @@ func (m *Manager) runJob(j *Job) {
 	j.state = StateRunning
 	j.started = time.Now()
 	j.lastTick = j.started
+	j.evalMarks = nil
 	j.cancel = cancel
 	resume := j.resume
 	attempt := j.attempts + 1
@@ -1087,46 +1088,15 @@ func (m *Manager) runJob(j *Job) {
 	if progEvery <= 0 {
 		progEvery = m.opt.ProgressEvery
 	}
-	// Progress accounting for the evals/sec gauge: deltas between
-	// consecutive events of the same run.
-	var progMu sync.Mutex
-	lastEvals := make(map[int]int)
-	lastTime := make(map[int]time.Time)
-
-	telem := m.jobTelem(j)
 	opt := oblx.Options{
 		Seed:          j.Options.Seed,
 		MaxMoves:      j.Options.MaxMoves,
 		NoFreeze:      j.Options.NoFreeze,
 		Corners:       j.Options.Corners,
 		ProgressEvery: progEvery,
-		StageTimer:    telem.timer,
+		StageTimer:    m.jobTelem(j).timer,
 		Trace:         j.trace,
-		Progress: func(ev oblx.ProgressEvent) {
-			now := time.Now()
-			telem.flight.Record(ev.FlightRecord())
-			progMu.Lock()
-			if prev, ok := lastEvals[ev.Run]; ok && ev.Evals > prev {
-				m.mEvals.Add(int64(ev.Evals - prev))
-				if dt := now.Sub(lastTime[ev.Run]).Seconds(); dt > 0 {
-					m.mEvalRate.Set(float64(ev.Evals-prev) / dt)
-				}
-			}
-			lastEvals[ev.Run] = ev.Evals
-			lastTime[ev.Run] = now
-			progMu.Unlock()
-			m.mAccept.Set(ev.AcceptRatio)
-
-			j.mu.Lock()
-			p := ev
-			j.lastProg = &p
-			j.lastTick = now
-			if math.IsNaN(j.bestCost) || ev.BestCost < j.bestCost {
-				j.bestCost = ev.BestCost
-			}
-			j.publishLocked(Event{Type: "progress", Prog: &p})
-			j.mu.Unlock()
-		},
+		Progress:      func(ev oblx.ProgressEvent) { m.RecordProgress(j, ev) },
 	}
 
 	var res *oblx.Result
@@ -1149,6 +1119,49 @@ func (m *Manager) runJob(j *Job) {
 	}
 	deadlineHit := m.opt.JobDeadline > 0 && errors.Is(ctx.Err(), context.DeadlineExceeded)
 	m.finishJob(j, res, err, deadlineHit)
+}
+
+// evalMark is one run's eval count at its latest progress event.
+type evalMark struct {
+	evals int
+	at    time.Time
+}
+
+// RecordProgress feeds one progress event of a running job into the
+// daemon: the flight recorder, the acceptance and throughput metrics,
+// best-cost tracking, SSE fan-out and the watchdog's liveness tick. A
+// local run calls it from its Progress callback; a fleet coordinator
+// calls it with the events its workers ship. An event that arrives after
+// the job left the running state (a fenced or finished run) only reaches
+// the flight recorder and the acceptance gauge.
+func (m *Manager) RecordProgress(j *Job, ev oblx.ProgressEvent) {
+	now := time.Now()
+	m.jobTelem(j).flight.record(ev)
+	m.mAccept.Set(ev.AcceptRatio)
+
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.state != StateRunning {
+		return
+	}
+	if prev, ok := j.evalMarks[ev.Run]; ok && ev.Evals > prev.evals {
+		m.mEvals.Add(int64(ev.Evals - prev.evals))
+		if dt := now.Sub(prev.at).Seconds(); dt > 0 {
+			m.mEvalRate.Set(float64(ev.Evals-prev.evals) / dt)
+		}
+	}
+	if j.evalMarks == nil {
+		j.evalMarks = make(map[int]evalMark)
+	}
+	j.evalMarks[ev.Run] = evalMark{evals: ev.Evals, at: now}
+
+	p := ev
+	j.lastProg = &p
+	j.lastTick = now
+	if math.IsNaN(j.bestCost) || ev.BestCost < j.bestCost {
+		j.bestCost = ev.BestCost
+	}
+	j.publishLocked(Event{Type: "progress", Prog: &p})
 }
 
 // watchdog periodically scans running jobs for missing progress ticks
@@ -1245,7 +1258,6 @@ func (m *Manager) finishJob(j *Job, res *oblx.Result, err error, deadlineHit boo
 		result.State = StateFailed
 		result.Error = fmt.Sprintf("server: job deadline %s exceeded", m.opt.JobDeadline)
 	}
-	state := result.State
 	if res != nil {
 		if n := res.Failures.Unstable; n > 0 {
 			m.mUnstable.Add(int64(n))
@@ -1269,6 +1281,20 @@ func (m *Manager) finishJob(j *Job, res *oblx.Result, err error, deadlineHit boo
 		}
 	}
 
+	if err := m.commitTerminal(j, result, now); err != nil {
+		m.jlog(j).Error("terminal commit failed", "err", err)
+	}
+}
+
+// commitTerminal makes a running job terminal with result (whose State
+// must be terminal), in the one order every completion path shares:
+// remove the checkpoint, publish the terminal state, persist the record,
+// store the result in the cache, end the job's trace. now is the
+// completion time recorded on the job. A job that is no longer running
+// (already completed, requeued, cancelled) rejects the commit with an
+// error — the backstop under the fleet's epoch fencing.
+func (m *Manager) commitTerminal(j *Job, result *JobResult, now time.Time) error {
+	state := result.State
 	// Remove the crash-recovery checkpoint before the terminal state
 	// becomes observable, so "terminal ⇒ no checkpoint" holds for every
 	// watcher. If the daemon dies in the window before the terminal
@@ -1278,6 +1304,11 @@ func (m *Manager) finishJob(j *Job, res *oblx.Result, err error, deadlineHit boo
 	m.removeCheckpoint(j, state)
 
 	j.mu.Lock()
+	if j.state != StateRunning {
+		st := j.state
+		j.mu.Unlock()
+		return fmt.Errorf("server: job %s is %s, not running; completion rejected", j.ID, st)
+	}
 	j.state = state
 	j.err = result.Error
 	j.finished = now
@@ -1300,6 +1331,7 @@ func (m *Manager) finishJob(j *Job, res *oblx.Result, err error, deadlineHit boo
 	} else {
 		m.jlog(j).Info("job finished", "state", state)
 	}
+	return nil
 }
 
 // traceStatus maps a terminal job state onto a span status.

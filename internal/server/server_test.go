@@ -246,24 +246,36 @@ func TestLifecycle(t *testing.T) {
 		t.Errorf("status after completion: %+v", st)
 	}
 
-	// The metrics endpoint reports the finished job.
-	resp3, err := http.Get(ts.URL + "/debug/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp3.Body.Close()
-	var buf bytes.Buffer
-	buf.ReadFrom(resp3.Body)
-	text := buf.String()
-	for _, want := range []string{
+	// The metrics endpoint reports the finished job. The finish metrics
+	// are recorded just after the terminal state is published, so poll
+	// briefly rather than read once.
+	wants := []string{
 		"oblxd_jobs_submitted_total 1",
 		`oblxd_jobs_finished_total{state="done"} 1`,
 		"oblxd_evals_total",
 		"oblxd_job_seconds_count 1",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("metrics output missing %q", want)
+	}
+	var missing []string
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		resp3, err := http.Get(ts.URL + "/debug/metrics")
+		if err != nil {
+			t.Fatal(err)
 		}
+		var buf bytes.Buffer
+		buf.ReadFrom(resp3.Body)
+		resp3.Body.Close()
+		missing = missing[:0]
+		for _, want := range wants {
+			if !strings.Contains(buf.String(), want) {
+				missing = append(missing, want)
+			}
+		}
+		if len(missing) == 0 || time.Now().After(deadline) {
+			break
+		}
+	}
+	for _, want := range missing {
+		t.Errorf("metrics output missing %q", want)
 	}
 }
 

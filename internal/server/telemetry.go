@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"astrx/internal/durable"
+	"astrx/internal/oblx"
 	"astrx/internal/telemetry"
 )
 
@@ -18,7 +19,7 @@ import (
 // are cumulative.
 type jobTelemetry struct {
 	timer  *telemetry.EvalTimer
-	flight *telemetry.FlightRecorder
+	flight *flightRecorder
 }
 
 // telemetrySampleEvery resolves the manager's sampling cadence: 0 means
@@ -49,7 +50,7 @@ func (m *Manager) jobTelem(j *Job) *jobTelemetry {
 		})
 		j.telem = &jobTelemetry{
 			timer:  t,
-			flight: telemetry.NewFlightRecorder(m.opt.FlightRecords),
+			flight: newFlightRecorder(m.opt.FlightRecords),
 		}
 	}
 	return j.telem
@@ -78,16 +79,17 @@ func (m *Manager) snapshotFlight(j *Job, cause string) {
 	if telem == nil {
 		return
 	}
-	snap := telemetry.FlightSnapshot{
-		Version:       telemetry.FlightSnapshotVersion,
+	moves, total := telem.flight.snapshot()
+	snap := FlightSnapshot{
+		Version:       FlightSnapshotVersion,
 		JobID:         j.ID,
 		Cause:         cause,
 		Time:          time.Now(),
 		Attempt:       attempt,
 		SampleEvery:   telem.timer.SampleEvery(),
-		TotalRecorded: telem.flight.Total(),
+		TotalRecorded: total,
 		Stages:        telem.timer.Breakdown(),
-		Moves:         telem.flight.Snapshot(),
+		Moves:         moves,
 	}
 	data, err := json.Marshal(&snap)
 	if err != nil {
@@ -105,12 +107,12 @@ func (m *Manager) snapshotFlight(j *Job, cause string) {
 
 // loadFlight reads a job's durable flight snapshot back, verifying the
 // envelope and the schema version.
-func (m *Manager) loadFlight(id string) (*telemetry.FlightSnapshot, error) {
+func (m *Manager) loadFlight(id string) (*FlightSnapshot, error) {
 	data, err := durable.ReadSealed(m.fsys, m.flightPath(id))
 	if err != nil {
 		return nil, err
 	}
-	return telemetry.DecodeFlightSnapshot(data)
+	return DecodeFlightSnapshot(data)
 }
 
 // TelemetrySummary is the JSON body of GET /v1/jobs/{id}/telemetry: the
@@ -130,27 +132,27 @@ type TelemetrySummary struct {
 	Records       int                        `json:"records"`
 	TotalRecorded uint64                     `json:"total_recorded"`
 	Stages        []telemetry.StageBreakdown `json:"stages,omitempty"`
-	LastMove      *telemetry.MoveRecord      `json:"last_move,omitempty"`
+	LastMove      *oblx.ProgressEvent        `json:"last_move,omitempty"`
 }
 
 // telemetryFor resolves a job's telemetry, preferring the live recorder
 // (fresher while the job runs in this incarnation) over the durable
 // snapshot. A nil summary means the job predates telemetry entirely.
-func (m *Manager) telemetryFor(j *Job) (*TelemetrySummary, []telemetry.MoveRecord) {
+func (m *Manager) telemetryFor(j *Job) (*TelemetrySummary, []oblx.ProgressEvent) {
 	j.mu.Lock()
 	telem := j.telem
 	state := j.state
 	j.mu.Unlock()
 
 	if telem != nil {
-		moves := telem.flight.Snapshot()
+		moves, total := telem.flight.snapshot()
 		sum := &TelemetrySummary{
 			ID:            j.ID,
 			State:         state,
 			Source:        "live",
 			SampleEvery:   telem.timer.SampleEvery(),
 			Records:       len(moves),
-			TotalRecorded: telem.flight.Total(),
+			TotalRecorded: total,
 			Stages:        telem.timer.Breakdown(),
 		}
 		if n := len(moves); n > 0 {
@@ -203,7 +205,7 @@ func (m *Manager) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTelemetryMoves serves GET /v1/jobs/{id}/telemetry/moves: the raw
-// flight-recorder ring as JSONL, oldest move first.
+// flight-recorder ring as JSONL progress events, oldest move first.
 func (m *Manager) handleTelemetryMoves(w http.ResponseWriter, r *http.Request) {
 	j := m.jobOr404(w, r)
 	if j == nil {
@@ -217,7 +219,7 @@ func (m *Manager) handleTelemetryMoves(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	_ = telemetry.WriteJSONL(w, moves)
+	_ = writeJSONL(w, moves)
 }
 
 // buildVersion extracts a human-useful version from the binary's build

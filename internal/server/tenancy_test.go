@@ -122,6 +122,23 @@ func TestCacheHitSkipsEval(t *testing.T) {
 	waitState(t, j3, StateDone, 60*time.Second)
 }
 
+// waitCacheFile waits for a durable cache entry to land in dir. The
+// cache counts an entry (Len) before its sealed file is renamed into
+// place, so tests that read the directory wait for the file itself.
+func waitCacheFile(t *testing.T, dir string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if files, _ := filepath.Glob(filepath.Join(dir, "res-*")); len(files) > 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("finished job never reached the cache directory")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // TestCacheHitSurvivesRestart: the cache is durable — a new daemon
 // incarnation over the same cache dir serves the hit.
 func TestCacheHitSurvivesRestart(t *testing.T) {
@@ -135,10 +152,7 @@ func TestCacheHitSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, j1, StateDone, 60*time.Second)
-	deadline := time.Now().Add(10 * time.Second)
-	for c1.Len() == 0 && !time.Now().After(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitCacheFile(t, cdir)
 
 	c2 := testCache(t, cdir, rescache.RO, nil)
 	m2 := newTestManager(t, Options{Workers: 2, Cache: c2})
@@ -165,10 +179,7 @@ func TestCacheCorruptionChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, j1, StateDone, 60*time.Second)
-	deadline := time.Now().Add(10 * time.Second)
-	for c1.Len() == 0 && !time.Now().After(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitCacheFile(t, cdir)
 
 	// Corrupt every cache entry on disk.
 	entries, err := os.ReadDir(cdir)

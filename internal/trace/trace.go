@@ -1,7 +1,8 @@
 // Package trace is a stdlib-only, W3C-traceparent-compatible span layer
 // for the synthesis pipeline. A job's trace/span IDs derive from its
 // existing request ID, so the same identifier correlates logs, metrics
-// exemplars, flight-recorder MoveRecords, and the span tree.
+// exemplars, progress events (SSE and the flight recorder), and the span
+// tree.
 //
 // The Recorder is nil-receiver safe throughout, like telemetry.Clock:
 // every method on a nil *Recorder or nil *Active is a no-op, so code can
