@@ -76,12 +76,13 @@ trace-chaos:
 
 # corner-chaos runs the worst-case-over-corners robustness drills under
 # the race detector: a multi-corner anneal must meet the specs at every
-# corner; with one corner fault-injected to fail permanently, the run
-# must retry, quarantine it, and finish degraded with per-corner
-# failure counts; and a kill/resume of that degraded run must reproduce
-# the uninterrupted run bit-exactly from its checkpoint.
+# corner (with stage timings sampled on every lane); with one corner
+# fault-injected to fail permanently, the run must retry, quarantine
+# it, and finish degraded with per-corner failure counts; and a
+# kill/resume of that degraded run must reproduce the uninterrupted run
+# bit-exactly from its checkpoint.
 corner-chaos:
-	$(GO) test -race -count=1 -run 'TestCorner|TestDeriveCorner|TestCompileCorners|TestWorstCase|TestBatchRun' ./internal/oblx ./internal/astrx
+	$(GO) test -race -count=1 -run 'TestCorner|TestDeriveCorner|TestCompileCorners|TestWorstCase' ./internal/oblx ./internal/astrx
 
 # lint is advisory: staticcheck and govulncheck run via `go run`, which
 # downloads them on first use. In an offline or hermetic environment the
@@ -117,9 +118,9 @@ bench-check:
 # at low iteration counts) checked against the baseline with a timing
 # budget wide enough to absorb CI noise — it trips only on the
 # catastrophic case, e.g. sampling accidentally enabled by default.
-# The second step pins the single-candidate workspace and the K-lane
-# batch (a loop over scalar workspaces) to zero allocations via their
-# dedicated alloc-count tests (testing.AllocsPerRun is exact and
+# The second step pins the single-candidate workspace and the corner
+# batch oblx anneals on (one lane per Table 2 deck, three on a cornered
+# deck) to zero allocations via their dedicated alloc-count tests (testing.AllocsPerRun is exact and
 # timing-free), and proves tracing compiled in but disabled (nil
 # recorder) adds zero allocations to the eval hot path.
 telemetry-guard:

@@ -102,7 +102,7 @@ func BenchmarkTable2EvalBiCMOS(b *testing.B) { benchmarkCostEval(b, bench.BiCMOS
 
 // BenchmarkTable2EvalCorners measures one worst-case candidate
 // evaluation of the Simple OTA over nominal + two process corners
-// through the K-lane batch workspace — the per-candidate price of
+// through the corner batch workspace — the per-candidate price of
 // corner-aware synthesis next to the nominal-only rows above. The
 // `corners` metric records K, so benchjson can derive ns per corner
 // evaluation and compare it against the single-lane numbers.

@@ -305,97 +305,18 @@ func (cs *CornerSet) StoreLaneNodes(i int, laneX, x []float64) {
 }
 
 // WorstCase assembles the worst-case-over-corners cost from a corner
-// batch's last Run, mirroring the scalar costFromRun arithmetic with the
-// nominal deck's adaptive weights (one EMA update per call, so
-// checkpoint/resume reproduces the weight trajectory exactly):
-//
-//   - per spec, the violation u is the max over participating lanes; a
-//     lane that failed to evaluate contributes the deterministic
-//     specFailUnits penalty, exactly like an unmeasurable spec;
-//   - the region violation is the max over lanes;
-//   - the relaxed-dc KCL violation is the sum over lanes — every lane's
-//     own node-voltage section must reach dc-correctness;
-//   - a lane with include[i] == false (quarantined corner) is skipped
-//     entirely: the run has degraded to the remaining corners.
-//
-// A failed nominal lane fails the whole candidate (FailCost), matching
-// single-corner semantics.
+// batch's last Run with the nominal deck's adaptive weights, updating
+// their statistics (one EMA update per call, like one scalar
+// CostDetail, so checkpoint/resume reproduces the weight trajectory
+// exactly). include[i] == false (a quarantined corner) skips lane i
+// entirely; evaluated[i] == false charges it the failure penalty. See
+// assemble for the arithmetic.
 func (cs *CornerSet) WorstCase(bw *BatchWorkspace, include, evaluated []bool) CostBreakdown {
-	var out CostBreakdown
-	c := cs.Nominal
-	w := c.Weights
-	if !include[0] || !evaluated[0] {
-		out.Failed = true
-		out.Total = c.Opt.FailCost
-		return out
-	}
-	k := cs.K()
+	return assemble(bw.lanes, include, evaluated, true)
+}
 
-	for i, s := range c.Deck.Specs {
-		worst := math.Inf(-1)
-		anyVal, anyFail := false, false
-		for l := 0; l < k; l++ {
-			if !include[l] {
-				continue
-			}
-			if !evaluated[l] {
-				anyFail = true
-				continue
-			}
-			val := bw.lanes[l].specVals[i]
-			if math.IsNaN(val) || math.IsInf(val, 0) {
-				anyFail = true
-				continue
-			}
-			if u := Normalize(s, val); u > worst {
-				worst = u
-			}
-			anyVal = true
-		}
-		if anyFail && (!anyVal || specFailUnits >= worst) {
-			// The binding corner is one that failed: charge the same
-			// deterministic penalty an unmeasurable spec gets.
-			out.Perf += w.Spec[s.Name] * specFailUnits
-			if !s.Objective {
-				w.emaSpec[s.Name] = emaDecay*w.emaSpec[s.Name] + (1 - emaDecay)
-			}
-			continue
-		}
-		u := worst
-		if s.Objective {
-			term := u
-			if u < 0 {
-				term = 0.05 * u
-			}
-			out.Objective += w.Spec[s.Name] * term
-		} else {
-			viol := math.Max(0, u)
-			out.Perf += w.Spec[s.Name] * viol
-			w.emaSpec[s.Name] = emaDecay*w.emaSpec[s.Name] + (1-emaDecay)*math.Min(viol, 1)
-		}
-	}
-
-	regViol := 0.0
-	kclViol := 0.0
-	for l := 0; l < k; l++ {
-		if !include[l] || !evaluated[l] {
-			continue
-		}
-		ws := bw.lanes[l]
-		if v := ws.regionViolation(); v > regViol {
-			regViol = v
-		}
-		kclViol += ws.kclViolation()
-	}
-	out.Dev = w.Region * regViol
-	w.emaReg = emaDecay*w.emaReg + (1-emaDecay)*math.Min(regViol, 1)
-	out.DC = w.KCL * kclViol
-	w.emaKCL = emaDecay*w.emaKCL + (1-emaDecay)*math.Min(kclViol, 1)
-
-	out.Total = out.Objective + out.Perf + out.Dev + out.DC
-	if math.IsNaN(out.Total) || math.IsInf(out.Total, 0) {
-		out.Failed = true
-		out.Total = c.Opt.FailCost
-	}
-	return out
+// Breakdown is WorstCase without the adaptive-weight updates — for
+// reporting a design without perturbing the run that found it.
+func (cs *CornerSet) Breakdown(bw *BatchWorkspace, include, evaluated []bool) CostBreakdown {
+	return assemble(bw.lanes, include, evaluated, false)
 }

@@ -1,10 +1,8 @@
 package astrx
 
 import (
-	"context"
 	"math"
 	"testing"
-	"time"
 
 	"astrx/internal/netlist"
 )
@@ -255,93 +253,5 @@ func TestWorstCaseQuarantineDegrades(t *testing.T) {
 	dead := set4.WorstCase(bw4, all, []bool{false, true, true})
 	if !dead.Failed || dead.Total != set4.Nominal.Opt.FailCost {
 		t.Errorf("dead nominal: %+v, want Failed at FailCost", dead)
-	}
-}
-
-// stageCtx reports cancellation only from the nth Err() call onward,
-// simulating a deadline landing mid-batch.
-type stageCtx struct {
-	context.Context
-	calls, fireAt int
-}
-
-func (s *stageCtx) Err() error {
-	s.calls++
-	if s.calls >= s.fireAt {
-		return context.Canceled
-	}
-	return nil
-}
-
-func (s *stageCtx) Done() <-chan struct{} { return nil }
-func (s *stageCtx) Deadline() (time.Time, bool) {
-	return time.Time{}, false
-}
-
-// TestBatchRunCtxCancellation covers the cancellation contract: a
-// cancelled context returns promptly with every lane marked failed, and
-// the workspace is not corrupted — the next uncancelled Run reproduces
-// a fresh batch bit-exactly.
-func TestBatchRunCtxCancellation(t *testing.T) {
-	deck, err := netlist.Parse(diffAmpDeck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := Compile(deck, CostOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const k = 3
-	bw := c.NewBatchWorkspace(k)
-	xs := make([][]float64, k)
-	for i := range xs {
-		xs[i] = make([]float64, len(c.Vars()))
-		for j, v := range c.Vars() {
-			xs[i][j] = v.Start()
-		}
-		xs[i][0] *= 1 + 0.1*float64(i)
-	}
-
-	// Pre-cancelled: immediate return, every lane reports the error.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := bw.RunCtx(ctx, xs); err == nil {
-		t.Fatal("RunCtx with cancelled ctx returned nil")
-	}
-	for i := 0; i < k; i++ {
-		if bw.Lane(i).Err() == nil {
-			t.Fatalf("lane %d: no error after cancelled run", i)
-		}
-	}
-
-	// Mid-batch: cancellation lands between pipeline stages.
-	mid := &stageCtx{Context: context.Background(), fireAt: 2}
-	if err := bw.RunCtx(mid, xs); err == nil {
-		t.Fatal("mid-batch cancellation not reported")
-	}
-	for i := 0; i < k; i++ {
-		if bw.Lane(i).Err() == nil {
-			t.Fatalf("lane %d: no error after mid-batch cancel", i)
-		}
-	}
-
-	// Recovery: the same workspace, uncancelled, matches a fresh batch
-	// lane for lane (costs consume the EMA stream, so compare states).
-	if err := bw.RunCtx(context.Background(), xs); err != nil {
-		t.Fatal(err)
-	}
-	fresh := c.NewBatchWorkspace(k)
-	fresh.Run(xs)
-	for i := 0; i < k; i++ {
-		a, b := bw.Lane(i).State(), fresh.Lane(i).State()
-		if (bw.Lane(i).Err() == nil) != (fresh.Lane(i).Err() == nil) {
-			t.Fatalf("lane %d: err mismatch after recovery", i)
-		}
-		for name, want := range b.SpecVals {
-			got := a.SpecVals[name]
-			if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
-				t.Errorf("lane %d spec %s: %g != fresh %g (post-cancel corruption)", i, name, got, want)
-			}
-		}
 	}
 }

@@ -1,6 +1,8 @@
 package astrx
 
 import (
+	"math"
+
 	"astrx/internal/anneal"
 	"astrx/internal/netlist"
 )
@@ -131,6 +133,107 @@ type CostBreakdown struct {
 	DC        float64 // C^dc — relaxed-dc KCL penalties
 	Failed    bool    // evaluation failed; Total = FailCost
 	Total     float64
+}
+
+// assemble computes C(x) per eq. (5) from the last run of lanes — the
+// one assembly of the cost, for a scalar workspace (one lane) and a
+// corner batch alike — with the weights of lane 0's compiled problem
+// (the nominal). track applies the adaptive-weight EMA updates as a
+// side effect.
+//
+//   - include[l] == false skips lane l entirely (a quarantined corner:
+//     the run has degraded to the remaining lanes);
+//   - a failed lane 0 fails the whole candidate (FailCost);
+//   - per spec, the violation u is the max over participating lanes; a
+//     lane that failed to evaluate (evaluated[l] == false) or could not
+//     measure the spec contributes the deterministic specFailUnits
+//     penalty instead;
+//   - the region violation is the max over lanes;
+//   - the relaxed-dc KCL violation is the sum over lanes — every lane's
+//     own node-voltage section must reach dc-correctness.
+//
+// A NaN normalized spec value or region violation propagates into the
+// total (and so fails the candidate) rather than losing the max.
+func assemble(lanes []*EvalWorkspace, include, evaluated []bool, track bool) CostBreakdown {
+	var out CostBreakdown
+	c := lanes[0].c
+	w := c.Weights
+	if !include[0] || !evaluated[0] {
+		out.Failed = true
+		out.Total = c.Opt.FailCost
+		return out
+	}
+
+	// C^obj and C^perf.
+	for i, s := range c.Deck.Specs {
+		worst := math.Inf(-1)
+		anyVal, anyFail := false, false
+		for l, ws := range lanes {
+			if !include[l] {
+				continue
+			}
+			val := ws.specVals[i]
+			if !evaluated[l] || math.IsNaN(val) || math.IsInf(val, 0) {
+				anyFail = true
+				continue
+			}
+			if u := Normalize(s, val); u > worst || math.IsNaN(u) {
+				worst = u
+			}
+			anyVal = true
+		}
+		if anyFail && (!anyVal || specFailUnits >= worst) {
+			// Unevaluatable spec (or a failed binding lane): treat as far
+			// beyond "bad".
+			out.Perf += w.Spec[s.Name] * specFailUnits
+			if track && !s.Objective {
+				w.emaSpec[s.Name] = emaDecay*w.emaSpec[s.Name] + (1 - emaDecay)
+			}
+			continue
+		}
+		u := worst
+		if s.Objective {
+			// Keep optimizing past "good", but gently, so objectives
+			// cannot drown the penalty terms.
+			term := u
+			if u < 0 {
+				term = 0.05 * u
+			}
+			out.Objective += w.Spec[s.Name] * term
+		} else {
+			viol := math.Max(0, u)
+			out.Perf += w.Spec[s.Name] * viol
+			if track {
+				w.emaSpec[s.Name] = emaDecay*w.emaSpec[s.Name] + (1-emaDecay)*math.Min(viol, 1)
+			}
+		}
+	}
+
+	// C^dev (operating-region constraints, volts of violation) and C^dc
+	// (the relaxed-dc KCL penalties of eq. (3)).
+	regViol, kclViol := 0.0, 0.0
+	for l, ws := range lanes {
+		if !include[l] || !evaluated[l] {
+			continue
+		}
+		if v := ws.regionViolation(); v > regViol || math.IsNaN(v) {
+			regViol = v
+		}
+		kclViol += ws.kclViolation()
+	}
+	out.Dev = w.Region * regViol
+	out.DC = w.KCL * kclViol
+	if track {
+		w.emaReg = emaDecay*w.emaReg + (1-emaDecay)*math.Min(regViol, 1)
+		w.emaKCL = emaDecay*w.emaKCL + (1-emaDecay)*math.Min(kclViol, 1)
+	}
+
+	out.Total = out.Objective + out.Perf + out.Dev + out.DC
+	if math.IsNaN(out.Total) || math.IsInf(out.Total, 0) {
+		out.Failed = true
+		out.Total = c.Opt.FailCost
+	}
+	return out
 }
 
 // Cost evaluates C(x) on the compiled problem's shared workspace — the

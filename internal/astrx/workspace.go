@@ -292,14 +292,7 @@ func (ws *EvalWorkspace) run(x []float64, full bool) {
 		}
 	}
 
-	ws.evalSpecs()
-}
-
-// evalSpecs evaluates the compiled spec expressions against the last
-// jig results (the tail of a full run, split out so the batch evaluator
-// can run it as its own stage).
-func (ws *EvalWorkspace) evalSpecs() {
-	for i, s := range ws.c.Deck.Specs {
+	for i, s := range c.Deck.Specs {
 		ws.resetArgs()
 		v, err := s.Expr.Eval(&ws.specEnv)
 		if err != nil {
@@ -605,70 +598,17 @@ func (ws *EvalWorkspace) EvalBias(x []float64) error {
 // reporting a design without perturbing the run that found it.
 func (ws *EvalWorkspace) Breakdown() CostBreakdown { return ws.costFromRun(false) }
 
-// costFromRun assembles C(x) per eq. (5) from the last run. track
-// applies the adaptive-weight EMA updates as a side effect.
+// costFromRun assembles C(x) per eq. (5) from the last run: the
+// one-lane case of assemble. track applies the adaptive-weight EMA
+// updates as a side effect.
 func (ws *EvalWorkspace) costFromRun(track bool) CostBreakdown {
-	var out CostBreakdown
-	c := ws.c
-	w := c.Weights
-	if ws.err != nil {
-		out.Failed = true
-		out.Total = c.Opt.FailCost
-		return out
-	}
-
-	// C^obj and C^perf.
-	for i, s := range c.Deck.Specs {
-		val := ws.specVals[i]
-		if math.IsNaN(val) || math.IsInf(val, 0) {
-			// Unevaluatable spec: treat as far beyond "bad".
-			out.Perf += w.Spec[s.Name] * specFailUnits
-			if track && !s.Objective {
-				w.emaSpec[s.Name] = emaDecay*w.emaSpec[s.Name] + (1 - emaDecay)
-			}
-			continue
-		}
-		u := Normalize(s, val)
-		if s.Objective {
-			// Keep optimizing past "good", but gently, so objectives
-			// cannot drown the penalty terms.
-			term := u
-			if u < 0 {
-				term = 0.05 * u
-			}
-			out.Objective += w.Spec[s.Name] * term
-		} else {
-			viol := math.Max(0, u)
-			out.Perf += w.Spec[s.Name] * viol
-			if track {
-				w.emaSpec[s.Name] = emaDecay*w.emaSpec[s.Name] + (1-emaDecay)*math.Min(viol, 1)
-			}
-		}
-	}
-
-	// C^dev: operating-region constraints (volts of violation).
-	regViol := ws.regionViolation()
-	out.Dev = w.Region * regViol
-
-	// C^dc: the relaxed-dc KCL penalties of eq. (3).
-	kclViol := ws.kclViolation()
-	out.DC = w.KCL * kclViol
-	if track {
-		w.emaReg = emaDecay*w.emaReg + (1-emaDecay)*math.Min(regViol, 1)
-		w.emaKCL = emaDecay*w.emaKCL + (1-emaDecay)*math.Min(kclViol, 1)
-	}
-
-	out.Total = out.Objective + out.Perf + out.Dev + out.DC
-	if math.IsNaN(out.Total) || math.IsInf(out.Total, 0) {
-		out.Failed = true
-		out.Total = c.Opt.FailCost
-	}
-	return out
+	lane, ok := [1]*EvalWorkspace{ws}, [1]bool{ws.err == nil}
+	return assemble(lane[:], ok[:], ok[:], track)
 }
 
 // regionViolation accumulates the operating-region violation (volts)
 // from the last run — the raw C^dev quantity, without weights or EMA
-// side effects, shared by the scalar and worst-case-corner assemblies.
+// side effects.
 func (ws *EvalWorkspace) regionViolation() float64 {
 	regViol := 0.0
 	for i, r := range ws.c.Deck.Regions {

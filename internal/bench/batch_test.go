@@ -1,20 +1,55 @@
 package bench
 
 import (
+	"fmt"
+	"math"
 	"testing"
+
+	"astrx/internal/astrx"
+	"astrx/internal/netlist"
 )
 
-// TestBatchMatchesSequential pins the batched K-candidate evaluator to
-// the scalar path bit-for-bit: for every Table 2 deck, evaluating a
-// candidate sequence through BatchWorkspace.CostsInto must produce the
-// identical costs, spec values, and adaptive-weight trajectory as
-// evaluating the same candidates one at a time on per-candidate
-// workspaces. Exact equality (not 1e-12) is intentional — each lane is
-// a scalar workspace walked stage by stage, so any difference at all
-// means the batch plumbing reordered arithmetic or leaked state between
-// lanes.
+// simpleOTACornerCards are the two process corners the 3-lane corner
+// tests and BenchmarkTable2EvalCorners put on the Simple OTA.
+const simpleOTACornerCards = `
+.corner slow temp=85 nmos3.vto=0.95 vdd=2.4
+.corner fast temp=-40 vdd=2.6
+`
+
+// cornerSet compiles src with every corner it declares (none → the
+// one-lane, nominal-only set oblx runs for a plain deck).
+func cornerSet(t *testing.T, src string) *astrx.CornerSet {
+	t.Helper()
+	deck, err := netlist.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := astrx.CompileCorners(deck, deck.CornerNames(), astrx.CostOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cs
+}
+
+// sameBreakdown compares two cost breakdowns bit for bit (NaN included).
+func sameBreakdown(a, b astrx.CostBreakdown) bool {
+	bits := func(c astrx.CostBreakdown) [5]uint64 {
+		return [5]uint64{math.Float64bits(c.Objective), math.Float64bits(c.Perf),
+			math.Float64bits(c.Dev), math.Float64bits(c.DC), math.Float64bits(c.Total)}
+	}
+	return a.Failed == b.Failed && bits(a) == bits(b)
+}
+
+// TestBatchMatchesSequential pins the one-lane corner batch — the path
+// every nominal oblx run evaluates through — to the scalar path bit for
+// bit: for every Table 2 deck, a candidate sequence evaluated through
+// NewCornerBatch + Run + WorstCase on a nominal-only corner set must
+// produce the identical cost breakdowns, spec values and adaptive-weight
+// trajectory as Compiled.CostDetail on a twin compilation. Exact
+// equality (not 1e-12) is intentional: both sides run the same scalar
+// pipeline and the same eq. (5) assembly, so any difference at all
+// means the batch plumbing reordered arithmetic or leaked state.
 func TestBatchMatchesSequential(t *testing.T) {
-	const K = 4
 	for _, ckt := range Table2Suite {
 		ckt := ckt
 		t.Run(string(ckt), func(t *testing.T) {
@@ -22,82 +57,97 @@ func TestBatchMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			batC, err := Compile(ckt)
-			if err != nil {
-				t.Fatal(err)
+			cs := cornerSet(t, DeckSource(ckt))
+			if cs.K() != 1 {
+				t.Fatalf("plain deck compiled to %d lanes, want 1", cs.K())
 			}
-			seq := evalSequence(seqC, 3*K-1) // 3 full batches
-			bw := batC.NewBatchWorkspace(K)
-			costs := make([]float64, K)
-			for off := 0; off+K <= len(seq); off += K {
-				xs := seq[off : off+K]
-				// Sequential reference: fresh workspace per candidate, like
-				// the batch lanes, sharing the compiled problem's weights.
-				want := make([]float64, K)
-				wantSpecs := make([]map[string]float64, K)
-				for i, x := range xs {
-					ws := seqC.NewWorkspace()
-					want[i] = ws.CostDetail(x).Total
-					wantSpecs[i] = ws.State().SpecVals
+			bw := cs.NewCornerBatch()
+			include, evaluated := []bool{true}, []bool{false}
+			for k, x := range evalSequence(seqC, 11) {
+				want := seqC.CostDetail(x)
+				wantSpecs := seqC.Workspace().State().SpecVals
+				bw.Run([][]float64{cs.LaneX(0, x, nil)})
+				evaluated[0] = bw.Lane(0).Err() == nil
+				got := cs.WorstCase(bw, include, evaluated)
+				if !sameBreakdown(got, want) {
+					t.Errorf("candidate %d: batch %+v, scalar %+v", k, got, want)
 				}
-				bw.CostsInto(costs, xs)
-				for i := range xs {
-					if costs[i] != want[i] {
-						t.Errorf("batch %d lane %d: cost %.17g, sequential %.17g",
-							off/K, i, costs[i], want[i])
-					}
-					gotSpecs := bw.Lane(i).State().SpecVals
-					if bw.Lane(i).Err() != nil {
-						continue
-					}
-					for name, wv := range wantSpecs[i] {
-						if gv := gotSpecs[name]; gv != wv && !(gv != gv && wv != wv) {
-							t.Errorf("batch %d lane %d spec %s: %.17g, sequential %.17g",
-								off/K, i, name, gv, wv)
-						}
+				if (seqC.Workspace().Err() == nil) != evaluated[0] {
+					t.Fatalf("candidate %d: batch err %v, scalar err %v", k, bw.Lane(0).Err(), seqC.Workspace().Err())
+				}
+				if !evaluated[0] {
+					continue
+				}
+				gotSpecs := bw.Lane(0).State().SpecVals
+				for name, wv := range wantSpecs {
+					if gv := gotSpecs[name]; math.Float64bits(gv) != math.Float64bits(wv) {
+						t.Errorf("candidate %d spec %s: batch %.17g, scalar %.17g", k, name, gv, wv)
 					}
 				}
+			}
+			if got, want := fmt.Sprint(*cs.Nominal.Weights.State()), fmt.Sprint(*seqC.Weights.State()); got != want {
+				t.Errorf("weight trajectory diverged:\nbatch  %s\nscalar %s", got, want)
 			}
 		})
 	}
 }
 
-// TestBatchShortAndFailedLanes exercises a partial batch (fewer
-// candidates than lanes) and a poisoned candidate: the failed lane must
-// cost FailCost without disturbing its neighbors.
+// TestBatchShortAndFailedLanes exercises the lane masks of a 3-lane
+// corner batch: a skipped lane (nil candidate) and a poisoned one report
+// errors without disturbing the nominal lane, whose assembly alone
+// equals the scalar cost; a failed corner charges the failure penalty;
+// and a failed nominal lane fails the candidate at FailCost.
 func TestBatchShortAndFailedLanes(t *testing.T) {
-	c1, err := Compile(SimpleOTA)
-	if err != nil {
-		t.Fatal(err)
+	src := DeckSource(SimpleOTA) + simpleOTACornerCards
+	cs := cornerSet(t, src)
+	ref := cornerSet(t, src).Nominal
+	if cs.K() != 3 {
+		t.Fatalf("corner set has %d lanes, want 3", cs.K())
 	}
-	c2, err := Compile(SimpleOTA)
-	if err != nil {
-		t.Fatal(err)
+	x := evalSequence(cs.Nominal, 0)[0]
+	master := make([]float64, cs.NVars())
+	copy(master, x)
+	for i := 1; i < cs.K(); i++ {
+		copy(master[cs.NUser+i*cs.NFree:], x[cs.NUser:])
 	}
-	seq := evalSequence(c1, 2)
-	bad := make([]float64, len(seq[1]))
-	copy(bad, seq[1])
+	bad := cs.LaneX(2, master, nil)
 	bad[0] = 0 // zero width: device geometry fails the evaluation
-	xs := [][]float64{seq[0], bad, seq[2]}
 
-	want := make([]float64, len(xs))
-	var failed []bool
-	for i, x := range xs {
-		ws := c1.NewWorkspace()
-		want[i] = ws.CostDetail(x).Total
-		failed = append(failed, ws.Err() != nil)
+	bw := cs.NewCornerBatch()
+	bw.Run([][]float64{cs.LaneX(0, master, nil), nil, bad})
+	if err := bw.Lane(0).Err(); err != nil {
+		t.Fatalf("nominal lane failed: %v", err)
+	}
+	if bw.Lane(1).Err() == nil {
+		t.Error("skipped lane reports no error")
+	}
+	if bw.Lane(2).Err() == nil {
+		t.Error("poisoned lane reports no error")
 	}
 
-	bw := c2.NewBatchWorkspace(5) // 2 idle lanes
-	costs := make([]float64, len(xs))
-	bw.CostsInto(costs, xs)
-	for i := range xs {
-		if costs[i] != want[i] {
-			t.Errorf("lane %d: cost %.17g, sequential %.17g", i, costs[i], want[i])
-		}
-		if (bw.Lane(i).Err() != nil) != failed[i] {
-			t.Errorf("lane %d: batch err %v, sequential failed %v", i, bw.Lane(i).Err(), failed[i])
-		}
+	onlyNom := cs.Breakdown(bw, []bool{true, false, false}, []bool{true, false, false})
+	if err := ref.Workspace().Eval(x); err != nil {
+		t.Fatal(err)
+	}
+	if want := ref.Workspace().Breakdown(); !sameBreakdown(onlyNom, want) {
+		t.Errorf("nominal-only assembly %+v, scalar %+v", onlyNom, want)
+	}
+	failedFast := cs.Breakdown(bw, []bool{true, false, true}, []bool{true, false, false})
+	if !(failedFast.Total > onlyNom.Total) {
+		t.Errorf("failed-corner penalty missing: %g vs %g", failedFast.Total, onlyNom.Total)
+	}
+
+	// A short run (one candidate for three lanes) with a poisoned
+	// nominal: the candidate fails.
+	deadX := cs.LaneX(0, master, nil)
+	deadX[0] = 0
+	bw.Run([][]float64{deadX})
+	if bw.Lane(0).Err() == nil {
+		t.Fatal("poisoned nominal lane reports no error")
+	}
+	dead := cs.Breakdown(bw, []bool{true, false, false}, []bool{false, false, false})
+	if !dead.Failed || dead.Total != cs.Nominal.Opt.FailCost {
+		t.Errorf("failed nominal lane: %+v, want Failed at FailCost", dead)
 	}
 }
 
@@ -133,33 +183,43 @@ func TestWorkspaceZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestBatchZeroAlloc pins the batched hot path: after warm-up a full
-// K-candidate evaluation performs zero heap allocations, preserving the
-// scalar path's guarantee. The candidates are small perturbations of
-// one design — the population shape of the batch consumers (yield
-// sampling, corner lanes).
+// TestBatchZeroAlloc pins the path oblx anneals on: after warm-up one
+// worst-case evaluation — corner batch Run plus the WorstCase assembly —
+// performs zero heap allocations, for the one-lane set of every Table 2
+// deck (a nominal run) and the 3-lane Simple OTA corner set.
 func TestBatchZeroAlloc(t *testing.T) {
-	c, err := Compile(BiCMOSTwoStage)
-	if err != nil {
-		t.Fatal(err)
+	type deck struct{ name, src string }
+	decks := []deck{{"Simple OTA corners", DeckSource(SimpleOTA) + simpleOTACornerCards}}
+	for _, ckt := range Table2Suite {
+		decks = append(decks, deck{string(ckt), DeckSource(ckt)})
 	}
-	const K = 4
-	base := evalSequence(c, 0)[0]
-	xs := make([][]float64, K)
-	for i := range xs {
-		x := make([]float64, len(base))
-		for p, v := range base {
-			x[p] = v * (1 + 1e-4*float64(i*len(base)+p%7))
-		}
-		xs[i] = x
-	}
-	bw := c.NewBatchWorkspace(K)
-	costs := make([]float64, K)
-	bw.CostsInto(costs, xs) // warm up lazy scratch
-	allocs := testing.AllocsPerRun(20, func() {
-		bw.CostsInto(costs, xs)
-	})
-	if allocs != 0 {
-		t.Errorf("batched eval allocates %.1f/batch, want 0", allocs)
+	for _, d := range decks {
+		d := d
+		t.Run(d.name, func(t *testing.T) {
+			cs := cornerSet(t, d.src)
+			x := make([]float64, cs.NVars())
+			for i, v := range cs.Vars() {
+				x[i] = v.Start()
+			}
+			k := cs.K()
+			xs := make([][]float64, k)
+			include, evaluated := make([]bool, k), make([]bool, k)
+			for i := range xs {
+				xs[i] = cs.LaneX(i, x, nil)
+				include[i] = true
+			}
+			bw := cs.NewCornerBatch()
+			eval := func() {
+				bw.Run(xs)
+				for i := range evaluated {
+					evaluated[i] = bw.Lane(i).Err() == nil
+				}
+				cs.WorstCase(bw, include, evaluated)
+			}
+			eval() // warm up lazy scratch
+			if allocs := testing.AllocsPerRun(20, eval); allocs != 0 {
+				t.Errorf("%d-lane worst-case eval allocates %.1f/eval, want 0", k, allocs)
+			}
+		})
 	}
 }

@@ -35,8 +35,8 @@ type Checkpoint struct {
 	NonFinite   int `json:"non_finite"`
 	Retries     int `json:"retries"`
 	Quarantined int `json:"quarantined"`
-	// Unstable is the Padé-instability counter — the shared workspace's
-	// for nominal-only runs, the nominal batch lane's for cornered runs.
+	// Unstable is the nominal lane's Padé-instability counter (the
+	// corner lanes' counters ride in Corners).
 	Unstable int `json:"unstable,omitempty"`
 
 	// Corners carries the per-corner failure state of a worst-case run,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 
 	"astrx/internal/anneal"
@@ -31,15 +32,20 @@ type cornerLane struct {
 	quarantined bool
 }
 
-// cornerEval evaluates one candidate against every selected corner and
-// assembles the worst-case-over-corners cost. It owns the K-lane batch
-// workspace, the per-corner failure accounting, and the retry-then-
-// quarantine policy; the surrounding problem wrapper keeps its existing
-// candidate-level panic/NaN hardening on top.
+// cornerEval evaluates one candidate against every lane of the corner
+// set (the nominal first; a nominal-only run has just that lane) and
+// assembles the worst-case-over-lanes cost. It owns the run's batch,
+// the reporting batch, the per-corner failure accounting, and the
+// retry-then-quarantine policy; the surrounding problem wrapper keeps
+// its candidate-level panic/NaN hardening on top.
 type cornerEval struct {
-	cs  *astrx.CornerSet
-	bw  *astrx.BatchWorkspace
-	inj *faults.Injector
+	cs *astrx.CornerSet
+	// bw is the run's batch: each lane's shared workspace, which the
+	// Newton moves' DCProblem and the stage clocks also use. rbw is the
+	// reporting batch (progress events and the final evaluation), so
+	// reporting never disturbs the run's workspaces or counters.
+	bw, rbw *astrx.BatchWorkspace
+	inj     *faults.Injector
 
 	lanes     []cornerLane // indexed like cs lanes; [0] unused
 	bufs      [][]float64  // per-lane candidate scratch
@@ -58,7 +64,8 @@ func newCornerEval(cs *astrx.CornerSet, inj *faults.Injector) *cornerEval {
 	k := cs.K()
 	return &cornerEval{
 		cs:        cs,
-		bw:        cs.NewCornerBatch(),
+		bw:        cs.Batch(),
+		rbw:       cs.NewCornerBatch(),
 		inj:       inj,
 		lanes:     make([]cornerLane, k),
 		bufs:      make([][]float64, k),
@@ -68,20 +75,24 @@ func newCornerEval(cs *astrx.CornerSet, inj *faults.Injector) *cornerEval {
 	}
 }
 
-// eval runs one worst-case evaluation of the master vector x. Exactly
-// one adaptive-weight EMA update happens per call, like one scalar
-// CostDetail — the invariant checkpoint/resume bit-exactness rests on.
-func (ce *cornerEval) eval(x []float64) astrx.CostBreakdown {
-	cs := ce.cs
-	k := cs.K()
-	for i := 0; i < k; i++ {
+// load projects the master vector x onto the batch arguments: one lane
+// vector per live lane, nil for quarantined corners.
+func (ce *cornerEval) load(x []float64) {
+	for i := range ce.xs {
 		ce.include[i] = i == 0 || !ce.lanes[i].quarantined
 		ce.xs[i] = nil
 		if ce.include[i] {
-			ce.bufs[i] = cs.LaneX(i, x, ce.bufs[i])
+			ce.bufs[i] = ce.cs.LaneX(i, x, ce.bufs[i])
 			ce.xs[i] = ce.bufs[i]
 		}
 	}
+}
+
+// cost runs one worst-case evaluation of the master vector x. Exactly
+// one adaptive-weight EMA update happens per call, like one scalar
+// CostDetail — the invariant checkpoint/resume bit-exactness rests on.
+func (ce *cornerEval) cost(x []float64) float64 {
+	ce.load(x)
 	ce.bw.Run(ce.xs)
 
 	// Nominal failure is candidate failure: WorstCase charges FailCost,
@@ -93,12 +104,12 @@ func (ce *cornerEval) eval(x []float64) astrx.CostBreakdown {
 	// charges the deterministic worst-case penalty (the same
 	// unmeasurable-spec units the scalar cost uses), so one diverging
 	// Newton solve or unstable Padé fit never blanks the candidate.
-	for i := 1; i < k; i++ {
+	for i := 1; i < len(ce.xs); i++ {
 		if !ce.include[i] {
 			ce.evaluated[i] = false
 			continue
 		}
-		name := cs.LaneName(i)
+		name := ce.cs.LaneName(i)
 		failed := ce.bw.Lane(i).Err() != nil
 		if ce.inj.CornerFail(name) {
 			failed = true
@@ -123,10 +134,22 @@ func (ce *cornerEval) eval(x []float64) astrx.CostBreakdown {
 		}
 		ce.evaluated[i] = !failed
 	}
-	return cs.WorstCase(ce.bw, ce.include, ce.evaluated)
+	return ce.cs.WorstCase(ce.bw, ce.include, ce.evaluated).Total
 }
 
-func (ce *cornerEval) cost(x []float64) float64 { return ce.eval(x).Total }
+// report evaluates the master vector x on the reporting batch and
+// itemizes its worst-case cost, like a progress event: the quarantine
+// mask applies, but no weight statistic, failure ledger or retry is
+// touched. The reporting lanes then hold the per-lane verdicts
+// cornerResults reads.
+func (ce *cornerEval) report(x []float64) astrx.CostBreakdown {
+	ce.load(x)
+	ce.rbw.Run(ce.xs)
+	for i := range ce.evaluated {
+		ce.evaluated[i] = ce.include[i] && ce.rbw.Lane(i).Err() == nil
+	}
+	return ce.cs.Breakdown(ce.rbw, ce.include, ce.evaluated)
+}
 
 // degraded reports whether any corner has been quarantined.
 func (ce *cornerEval) degraded() bool {
@@ -148,10 +171,10 @@ func (ce *cornerEval) unstableCount() int {
 }
 
 // cornerCheckpoints snapshots the per-corner failure state for the
-// checkpoint (corners only; the nominal lane's unstable counter rides
-// in the checkpoint's existing field).
+// checkpoint (corners only, nil for a nominal-only run; the nominal
+// lane's unstable counter rides in the checkpoint's existing field).
 func (ce *cornerEval) cornerCheckpoints() []CornerCheckpoint {
-	out := make([]CornerCheckpoint, 0, ce.cs.K()-1)
+	var out []CornerCheckpoint
 	for i := 1; i < ce.cs.K(); i++ {
 		l := ce.lanes[i]
 		out = append(out, CornerCheckpoint{
@@ -207,8 +230,8 @@ func (ce *cornerEval) failureStats() map[string]CornerFailures {
 }
 
 // cornerResults builds the final per-lane breakdown. Call it after the
-// final eval(best) so the batch lanes hold the verdict at the returned
-// design; laneDC is the per-lane Newton-polish outcome.
+// final report(best) so the reporting lanes hold the verdict at the
+// returned design; laneDC is the per-lane Newton-polish outcome.
 func (ce *cornerEval) cornerResults(laneDC []bool) []CornerResult {
 	out := make([]CornerResult, 0, ce.cs.K())
 	for i := 0; i < ce.cs.K(); i++ {
@@ -217,12 +240,12 @@ func (ce *cornerEval) cornerResults(laneDC []bool) []CornerResult {
 			Name:        ce.cs.LaneName(i),
 			Quarantined: l.quarantined,
 			Evaluated:   ce.evaluated[i],
-			DCSolved:    laneDC != nil && laneDC[i],
+			DCSolved:    laneDC[i],
 			Fails:       l.fails,
 			Retries:     l.retries,
 		}
 		if cr.Evaluated {
-			st := ce.bw.Lane(i).State()
+			st := ce.rbw.Lane(i).State()
 			cr.SpecVals = finiteSpecVals(st.SpecVals)
 			cr.AllMet = allSpecsMet(ce.cs.Lane(i), st.SpecVals)
 		}
@@ -249,12 +272,15 @@ func allSpecsMet(c *astrx.Compiled, specVals map[string]float64) bool {
 	return true
 }
 
-// cornerNewtonMove is the corner-aware Newton move: every live lane's
+// newtonMove builds the gradient-directed move class: every live lane's
 // relaxed-dc node-voltage section is driven toward its own corner's
-// dc-correct bias (each corner has different supplies and thresholds,
+// dc-correct bias by iters damped Newton-Raphson steps at the current
+// design variables (each corner has different supplies and thresholds,
 // so each needs its own solve). Quarantined corners are skipped — their
-// sections are annealing ballast, not worth a solve. The move proposes
-// when at least one lane's section actually moved.
+// sections are annealing ballast, not worth a solve. A Newton failure
+// (real or injected) on every lane declines the proposal, and the
+// annealer falls back to its other classes; the full solve also
+// declines when every lane's solve returned its starting voltages.
 //
 // The two variants divide the labor: the single-iteration step move
 // tracks each lane's bias by continuation from its own current section,
@@ -265,26 +291,30 @@ func allSpecsMet(c *astrx.Compiled, specVals map[string]float64) bool {
 // (e.g. an all-devices-cutoff solution, a perfectly valid KCL point)
 // that pure continuation from its own history would keep it in forever
 // while the max-over-lanes region penalty pins the cost.
-func cornerNewtonMove(ctx context.Context, ce *cornerEval, label string, iters int) anneal.Move {
+func newtonMove(ctx context.Context, ce *cornerEval, label string, iters int) anneal.Move {
 	cs := ce.cs
+	// The move closure owns its solver scratch: steady-state annealing
+	// performs one solve per lane per proposal, and the workspace makes
+	// the whole proposal allocation-free. Moves run one at a time on the
+	// annealer goroutine, so the capture is safe.
 	var (
 		work     dcsolve.Workspace
 		vbuf     []float64
 		nomNodes []float64
-		lbuf     [][]float64 = make([][]float64, cs.K())
+		lbuf     = make([][]float64, cs.K())
 	)
 	return &anneal.FuncMove{
 		Label: label,
 		Fn: func(cur, next []float64, rng *rand.Rand) bool {
-			any := false
+			proposed, moved := false, false
 			nomNodes = nomNodes[:0]
 			for i := 0; i < cs.K(); i++ {
 				if i > 0 && ce.lanes[i].quarantined {
 					continue
 				}
+				c := cs.Lane(i)
 				lbuf[i] = cs.LaneX(i, cur, lbuf[i])
 				lx := lbuf[i]
-				c := cs.Lane(i)
 				if i > 0 && iters > 1 && len(nomNodes) == cs.NFree {
 					copy(lx[c.NUser:], nomNodes)
 				}
@@ -293,12 +323,13 @@ func cornerNewtonMove(ctx context.Context, ce *cornerEval, label string, iters i
 					continue
 				}
 				vbuf = append(vbuf[:0], lx[c.NUser:]...)
+				var sol []float64
 				if iters <= 1 {
 					stepped, err := dcsolve.Step(dp, vbuf, dcsolve.Options{FailHook: ce.inj.NewtonHook(), Work: &work})
 					if err != nil {
 						continue
 					}
-					copy(lx[c.NUser:], stepped)
+					sol = stepped
 				} else {
 					r, _ := dcsolve.Solve(ctx, dp, vbuf, dcsolve.Options{
 						MaxIter: iters, BestEffort: true, FailHook: ce.inj.NewtonHook(), Work: &work,
@@ -306,43 +337,65 @@ func cornerNewtonMove(ctx context.Context, ce *cornerEval, label string, iters i
 					if r == nil {
 						continue
 					}
-					copy(lx[c.NUser:], r.V)
+					if i == 0 {
+						nomNodes = append(nomNodes[:0], r.V...)
+					}
+					sol = r.V
 				}
+				moved = moved || !slices.Equal(sol, vbuf)
+				copy(lx[c.NUser:], sol)
 				cs.StoreLaneNodes(i, lx, next)
-				if i == 0 {
-					nomNodes = append(nomNodes[:0], lx[cs.NUser:cs.NUser+cs.NFree]...)
-				}
-				// Any successful lane solve is a proposal, like the scalar
-				// Newton move; the annealer's own no-op detection handles
-				// the already-converged case.
-				any = true
+				proposed = true
 			}
-			return any
+			// A full solve that returned its starting voltages on every
+			// lane (the nominal starts from its own section, so it is
+			// already dc-correct) was paid for but found nothing to
+			// propose; declining it keeps the annealer's T0 calibration,
+			// which samples every proposal, from counting it as a zero
+			// cost delta.
+			if iters > 1 && !moved {
+				return false
+			}
+			return proposed
 		},
 	}
 }
 
-// polishCorners runs the final full Newton polish on every live lane's
-// node-voltage section (see polishDC). It returns the polished master
-// vector, whether every live lane converged, and the per-lane verdict
-// (quarantined lanes report false — their bias was never polished).
-func polishCorners(ctx context.Context, ce *cornerEval, x []float64) ([]float64, bool, []bool) {
+// polishDC runs the final full Newton solve on every live lane's
+// node-voltage section. A finished design must be dc-correct within
+// simulator tolerances — the paper's formulation guarantees the
+// predicted performance only at a KCL-consistent point — so a converged
+// Newton bias is kept even when the (penalty-weighted) cost rises
+// slightly: reporting performance at a dc-inconsistent point would be
+// fiction. It returns the polished master vector, whether every live
+// lane converged, and the per-lane verdict (quarantined lanes report
+// false — their bias was never polished). A lane whose solve fails
+// keeps its section unchanged.
+func polishDC(ctx context.Context, ce *cornerEval, x []float64) ([]float64, bool, []bool) {
 	cs := ce.cs
 	out := append([]float64(nil), x...)
 	laneDC := make([]bool, cs.K())
 	allOK := true
-	for i := 0; i < cs.K(); i++ {
+	var lx []float64
+	for i := range laneDC {
 		if i > 0 && ce.lanes[i].quarantined {
 			continue
 		}
-		lx := cs.LaneX(i, out, nil)
-		lx, ok := polishDC(ctx, cs.Lane(i), ce.inj, lx)
-		laneDC[i] = ok
-		if ok {
+		c := cs.Lane(i)
+		lx = cs.LaneX(i, out, lx)
+		dp := c.DCProblem(lx)
+		if dp.N() > 0 {
+			r, err := dcsolve.Solve(ctx, dp, lx[c.NUser:], dcsolve.Options{
+				MaxIter: 200, GminSteps: 4, FailHook: ce.inj.NewtonHook(),
+			})
+			if err != nil {
+				allOK = false
+				continue
+			}
+			copy(lx[c.NUser:], r.V)
 			cs.StoreLaneNodes(i, lx, out)
-		} else {
-			allOK = false
 		}
+		laneDC[i] = true
 	}
 	return out, allOK, laneDC
 }

@@ -12,6 +12,7 @@ import (
 	"astrx/internal/anneal"
 	"astrx/internal/astrx"
 	"astrx/internal/faults"
+	"astrx/internal/telemetry"
 )
 
 // corneredDividerCards declare two corners that move the divider's bias
@@ -36,7 +37,9 @@ const corneredDiffAmpCards = `
 // TestCornerSynthesisMeetsAllCorners is the headline worst-case check:
 // annealing the Table 2 diff-amp over nominal + two corners must land
 // on a design whose specs hold at every corner, with every lane
-// dc-solved and none degraded.
+// dc-solved and none degraded. The run's stage timer must see the eval
+// pipeline too: a cornered run evaluates through the same per-lane
+// scalar runs as a nominal one.
 func TestCornerSynthesisMeetsAllCorners(t *testing.T) {
 	if testing.Short() {
 		t.Skip("synthesis run in -short mode")
@@ -45,9 +48,19 @@ func TestCornerSynthesisMeetsAllCorners(t *testing.T) {
 	// so aim the ugf requirement where the corners can still reach it.
 	src := strings.Replace(diffAmpDeck, "good=1Meg", "good=300k", 1) + corneredDiffAmpCards
 	deck := parse(t, src)
-	res, err := Run(context.Background(), deck, Options{Seed: 3, MaxMoves: 60_000})
+	timer := telemetry.NewEvalTimer(64)
+	res, err := Run(context.Background(), deck, Options{Seed: 3, MaxMoves: 60_000, StageTimer: timer})
 	if err != nil {
 		t.Fatal(err)
+	}
+	sampled := map[string]int64{}
+	for _, row := range timer.Breakdown() {
+		sampled[row.Stage] = row.SampledEvals
+	}
+	for _, stage := range []string{"bias", "factor", "fit", "specs"} {
+		if sampled[stage] == 0 {
+			t.Errorf("stage %s has no timing samples in a cornered run (breakdown %v)", stage, sampled)
+		}
 	}
 	if res.Cost.Failed {
 		t.Fatal("worst-case cost failed")

@@ -20,14 +20,12 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"strconv"
 	"sync"
 	"time"
 
 	"astrx/internal/anneal"
 	"astrx/internal/astrx"
-	"astrx/internal/dcsolve"
 	"astrx/internal/faults"
 	"astrx/internal/netlist"
 	"astrx/internal/telemetry"
@@ -90,8 +88,8 @@ type Options struct {
 	// StageTimer, when non-nil, receives sampled per-stage timings of
 	// the compiled cost pipeline (stamp → LU → moments → fit → specs).
 	// One timer may be shared across RunBest's parallel runs: each run
-	// attaches its own clock. A nil timer keeps the hot path
-	// uninstrumented.
+	// attaches its own clock to each corner lane. A nil timer keeps the
+	// hot path uninstrumented.
 	StageTimer *telemetry.EvalTimer
 
 	// Trace, when non-nil, receives the run's lifecycle spans: one
@@ -317,18 +315,14 @@ const weightAdaptEvery = 500
 // surfaced to the annealer as an unconditional rejection.
 const evalRetries = 2
 
-// problem wraps the compiled cost function. It counts evaluations and
-// hardens the evaluation path: evaluator panics are recovered, NaN/Inf
-// costs detected, and both are converted — after bounded retries — into
-// move rejections the annealer counts per move class. The contract with
-// the annealer: every returned cost is either finite or NaN, and NaN
-// means "reject this move" (see anneal.Run).
+// problem wraps the worst-case-over-lanes cost function (a nominal run
+// is its one-lane case). It counts evaluations and hardens the
+// evaluation path: evaluator panics are recovered, NaN/Inf costs
+// detected, and both are converted — after bounded retries — into move
+// rejections the annealer counts per move class. The contract with the
+// annealer: every returned cost is either finite or NaN, and NaN means
+// "reject this move" (see anneal.Run).
 type problem struct {
-	c   *astrx.Compiled
-	inj *faults.Injector
-	// ce, when non-nil, routes evaluations through the worst-case-over-
-	// corners assembly instead of the scalar cost; the candidate-level
-	// hardening (panic recovery, NaN retry, quarantine) stays identical.
 	ce *cornerEval
 
 	evals       int
@@ -338,12 +332,7 @@ type problem struct {
 	quarantined int
 }
 
-func (p *problem) Vars() []anneal.VarSpec {
-	if p.ce != nil {
-		return p.ce.cs.Vars()
-	}
-	return p.c.Vars()
-}
+func (p *problem) Vars() []anneal.VarSpec { return p.ce.cs.Vars() }
 
 func (p *problem) Cost(x []float64) float64 {
 	p.evals++
@@ -372,19 +361,21 @@ func (p *problem) tryCost(x []float64) (cost float64, panicked bool) {
 			cost, panicked = math.NaN(), true
 		}
 	}()
-	p.inj.EvalPanic() // inert when p.inj is nil
-	if p.inj.NaNCost() {
+	inj := p.ce.inj
+	inj.EvalPanic() // inert when inj is nil
+	if inj.NaNCost() {
 		return math.NaN(), false
 	}
-	if p.ce != nil {
-		return p.ce.cost(x), false
-	}
-	return p.c.Cost(x), false
+	return p.ce.cost(x), false
 }
 
 // Run synthesizes one deck with one seed. Cancelling ctx (SIGINT, a
 // deadline) stops the run cleanly and returns the best-so-far design
 // with Cancelled set — never an error.
+//
+// Every run anneals the worst case over a corner set: the nominal plus
+// the selected corners. A deck without corners (or an empty selection)
+// is the one-lane case, which is exactly the scalar cost C(x).
 func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) {
 	opt.defaults()
 	if ctx == nil {
@@ -394,44 +385,20 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	var (
-		c  *astrx.Compiled
-		ce *cornerEval
-	)
-	if len(cornerNames) > 0 {
-		cs, err := astrx.CompileCorners(deck, cornerNames, opt.Cost)
-		if err != nil {
-			return nil, err
-		}
-		c = cs.Nominal
-		ce = newCornerEval(cs, opt.Faults)
-	} else {
-		c, err = astrx.Compile(deck, opt.Cost)
-		if err != nil {
-			return nil, err
-		}
+	cs, err := astrx.CompileCorners(deck, cornerNames, opt.Cost)
+	if err != nil {
+		return nil, err
 	}
-	p := &problem{c: c, inj: opt.Faults, ce: ce}
+	c := cs.Nominal
+	ce := newCornerEval(cs, opt.Faults)
+	p := &problem{ce: ce}
 	vars := p.Vars()
-	// nomX projects a (possibly master) annealing vector onto the
-	// nominal lane, for the trace/progress paths that evaluate through
-	// the nominal compiled problem.
-	var nomBuf []float64
-	nomX := func(x []float64) []float64 {
-		if ce == nil {
-			return x
-		}
-		nomBuf = ce.cs.LaneX(0, x, nomBuf)
-		return nomBuf
-	}
 	if opt.StageTimer != nil {
-		// Each Run compiles its own problem, so the shared workspace is
-		// single-goroutine here; the clock funnels into the (atomic)
-		// shared timer.
-		if ce != nil {
-			ce.bw.Lane(0).SetClock(opt.StageTimer.NewClock())
-		} else {
-			c.Workspace().SetClock(opt.StageTimer.NewClock())
+		// Each Run compiles its own problem, so the lane workspaces are
+		// single-goroutine here; each lane's clock funnels into the
+		// (atomic) shared timer.
+		for i := 0; i < cs.K(); i++ {
+			ce.bw.Lane(i).SetClock(opt.StageTimer.NewClock())
 		}
 	}
 
@@ -441,9 +408,7 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 	asp := opt.Trace.Begin("anneal", "")
 	defer asp.End("error")
 	opt.Trace.SetEvalParent(asp.ID())
-	if ce != nil {
-		ce.span = asp
-	}
+	ce.span = asp
 
 	// The generic perturbation classes explore the scalar prefix only:
 	// user variables plus the nominal node section. In a cornered run
@@ -451,21 +416,14 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 	// corner's own bias — random kicks there can only add KCL violation
 	// (summed over lanes, so an all-variable kick pays K× the scalar
 	// uphill and is never accepted), and they dilute the user-variable
-	// exploration the anneal actually needs. The corner Newton moves
-	// are the sole writers of the corner sections.
-	pvars := vars
-	if ce != nil {
-		pvars = vars[:ce.cs.NUser+ce.cs.NFree]
-	}
+	// exploration the anneal actually needs. The Newton moves are the
+	// sole writers of the corner sections.
+	pvars := vars[:cs.NUser+cs.NFree]
 	moves := []anneal.Move{
 		anneal.NewRandomStep("random", pvars, 0.3),
 		anneal.NewAllStep("all-cont", pvars),
-		newtonMove(ctx, c, opt.Faults, "newton-full", 12),
-		newtonMove(ctx, c, opt.Faults, "newton-step", 1),
-	}
-	if ce != nil {
-		moves[2] = cornerNewtonMove(ctx, ce, "newton-full", 12)
-		moves[3] = cornerNewtonMove(ctx, ce, "newton-step", 1)
+		newtonMove(ctx, ce, "newton-full", 12),
+		newtonMove(ctx, ce, "newton-step", 1),
 	}
 	moveNames := make([]string, len(moves))
 	for i, m := range moves {
@@ -477,6 +435,9 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 		if err := ck.check(len(vars)); err != nil {
 			return nil, err
 		}
+		if err := ce.restore(ck); err != nil {
+			return nil, err
+		}
 		opt.Seed = ck.Seed
 		opt.MaxMoves = ck.MaxMoves
 		c.Weights.Restore(ck.Weights)
@@ -485,17 +446,6 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 		p.nanCosts = ck.NonFinite
 		p.retries = ck.Retries
 		p.quarantined = ck.Quarantined
-		if ce != nil {
-			if err := ce.restore(ck); err != nil {
-				return nil, err
-			}
-		} else {
-			if len(ck.Corners) > 0 {
-				return nil, fmt.Errorf("oblx: checkpoint carries %d corners but the run is nominal-only — wrong corner selection?",
-					len(ck.Corners))
-			}
-			c.Workspace().SetUnstableCount(ck.Unstable)
-		}
 		baseDur = time.Duration(ck.ElapsedNS)
 		asp.Event("resume",
 			"move", strconv.Itoa(ck.Anneal.Move),
@@ -504,10 +454,12 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 	asp.SetAttr("seed", strconv.FormatInt(opt.Seed, 10))
 	asp.SetAttr("max_moves", strconv.Itoa(opt.MaxMoves))
 
-	// Reporting evals (progress events, the final state) run on a
-	// workspace of their own and never assemble a weight-updating cost,
-	// so they cannot perturb the anneal.
-	rws := c.NewWorkspace()
+	// Reporting evals (progress events, the final state) run on the
+	// reporting batch and never assemble a weight-updating cost, so they
+	// cannot perturb the anneal. Progress events measure the nominal
+	// lane.
+	rws := ce.rbw.Lane(0)
+	var nomX []float64
 	var trace []ProgressEvent
 	// Adaptive weights settle during the first quarter of the run;
 	// afterwards the cost function is stationary (the annealer's
@@ -543,13 +495,13 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 					ev.Hustin[moveNames[i]] = q
 				}
 			}
-			x := nomX(tp.X)
-			if rws.Eval(x) == nil {
+			nomX = cs.LaneX(0, tp.X, nomX)
+			if rws.Eval(nomX) == nil {
 				ev.MaxKCLError = rws.MaxKCLError()
 				st := rws.State()
 				ev.SpecVals = finiteSpecVals(st.SpecVals)
 				ev.WorstSpec, ev.WorstSpecU = worstSpec(c, st)
-			} else if rws.EvalBias(x) == nil {
+			} else if rws.EvalBias(nomX) == nil {
 				// The failure came after the bias stage: the KCL
 				// discrepancy is still measured.
 				ev.MaxKCLError = rws.MaxKCLError()
@@ -586,13 +538,9 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 				NonFinite:   p.nanCosts,
 				Retries:     p.retries,
 				Quarantined: p.quarantined,
+				Unstable:    ce.bw.Lane(0).UnstableCount(),
+				Corners:     ce.cornerCheckpoints(),
 				ElapsedNS:   int64(baseDur + time.Since(start)),
-			}
-			if ce != nil {
-				ck.Unstable = ce.bw.Lane(0).UnstableCount()
-				ck.Corners = ce.cornerCheckpoints()
-			} else {
-				ck.Unstable = c.Workspace().UnstableCount()
 			}
 			if err := SaveCheckpoint(opt.CheckpointPath, ck); err != nil {
 				ckErr = err
@@ -610,33 +558,17 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 	// bias to simulator-grade dc-correctness (the annealer's freezing
 	// tolerance is looser than a simulator's). A cancelled run still
 	// gets its polish — it is bounded work and the returned design
-	// should be the best usable one.
-	best := append([]float64(nil), res.Best...)
-	var (
-		dcOK   bool
-		laneDC []bool
-		st     *astrx.EvalState
-		cost   astrx.CostBreakdown
-	)
-	if ce != nil {
-		best, dcOK, laneDC = polishCorners(context.WithoutCancel(ctx), ce, best)
-		// One final worst-case evaluation at the polished point: the
-		// result's cost, the nominal state, and the per-corner verdicts
-		// all come from this single pass.
-		cost = ce.eval(best)
-		st = ce.bw.Lane(0).State()
-	} else {
-		best, dcOK = polishDC(context.WithoutCancel(ctx), c, opt.Faults, best)
-		_ = rws.Eval(best) // the state and the cost carry any failure
-		st = rws.State()
-		cost = rws.Breakdown()
-	}
+	// should be the best usable one. The final evaluation then reports
+	// the polished design: the result's cost, the nominal state and the
+	// per-corner verdicts all come from that one pass.
+	best, dcOK, laneDC := polishDC(context.WithoutCancel(ctx), ce, res.Best)
+	cost := ce.report(best)
 	out := &Result{
 		Compiled:  c,
 		DCSolved:  dcOK,
 		X:         best,
 		Cost:      cost,
-		State:     st,
+		State:     rws.State(),
 		Moves:     res.Moves,
 		Accepted:  res.Accepted,
 		Froze:     res.Froze,
@@ -652,12 +584,11 @@ func Run(ctx context.Context, deck *netlist.Deck, opt Options) (*Result, error) 
 			Retries:         p.retries,
 			Quarantined:     p.quarantined,
 			RejectedMoves:   res.NonFinite,
-			Unstable:        c.Workspace().UnstableCount(),
+			Unstable:        ce.unstableCount(),
 		},
 		CheckpointErr: ckErr,
 	}
-	if ce != nil {
-		out.Failures.Unstable = ce.unstableCount()
+	if cs.K() > 1 {
 		out.Failures.Corners = ce.failureStats()
 		out.Degraded = ce.degraded()
 		out.Corners = ce.cornerResults(laneDC)
@@ -711,85 +642,6 @@ func worstSpec(c *astrx.Compiled, st *astrx.EvalState) (string, float64) {
 		return "", 0
 	}
 	return name, worst
-}
-
-// polishDC runs a full Newton solve on the node voltages of x. A
-// finished design must be dc-correct within simulator tolerances — the
-// paper's formulation guarantees the predicted performance only at a
-// KCL-consistent point — so a converged Newton bias is kept even when
-// the (penalty-weighted) cost rises slightly: reporting performance at a
-// dc-inconsistent point would be fiction. On solver failure the original
-// vector is returned unchanged.
-func polishDC(ctx context.Context, c *astrx.Compiled, inj *faults.Injector, x []float64) ([]float64, bool) {
-	dp := c.DCProblem(x)
-	if dp.N() == 0 {
-		return x, true
-	}
-	v0 := append([]float64(nil), x[c.NUser:]...)
-	r, err := dcsolve.Solve(ctx, dp, v0, dcsolve.Options{
-		MaxIter: 200, GminSteps: 4, FailHook: inj.NewtonHook(),
-	})
-	if err != nil {
-		return x, false
-	}
-	out := append([]float64(nil), x...)
-	copy(out[c.NUser:], r.V)
-	return out, true
-}
-
-// newtonMove builds the gradient-directed move class: replace the node
-// voltages with the result of iters damped Newton-Raphson steps at the
-// current design variables. A Newton failure (real or injected) simply
-// declines the proposal — the annealer falls back to its other classes.
-func newtonMove(ctx context.Context, c *astrx.Compiled, inj *faults.Injector, label string, iters int) anneal.Move {
-	// The move closure owns its solver scratch: steady-state annealing
-	// performs one solve per proposal, and the workspace makes the whole
-	// proposal allocation-free. Moves run one at a time on the annealer
-	// goroutine, so the capture is safe.
-	var (
-		work dcsolve.Workspace
-		vbuf []float64
-	)
-	return &anneal.FuncMove{
-		Label: label,
-		Fn: func(cur, next []float64, rng *rand.Rand) bool {
-			dp := c.DCProblem(cur)
-			n := dp.N()
-			if n == 0 {
-				return false
-			}
-			vbuf = append(vbuf[:0], cur[c.NUser:]...)
-			v := vbuf
-			if iters <= 1 {
-				stepped, err := dcsolve.Step(dp, v, dcsolve.Options{FailHook: inj.NewtonHook(), Work: &work})
-				if err != nil {
-					return false
-				}
-				copy(next[c.NUser:], stepped)
-				return true
-			}
-			r, _ := dcsolve.Solve(ctx, dp, v, dcsolve.Options{
-				MaxIter: iters, BestEffort: true, FailHook: inj.NewtonHook(), Work: &work,
-			})
-			if r == nil {
-				return false
-			}
-			// Decline no-op solutions (already dc-correct): the solve was
-			// paid for, but proposing an identical point wastes a move.
-			same := true
-			for i, vv := range r.V {
-				if vv != v[i] {
-					same = false
-					break
-				}
-			}
-			if same {
-				return false
-			}
-			copy(next[c.NUser:], r.V)
-			return true
-		},
-	}
 }
 
 // runFn is the seam RunBest uses to launch individual runs; tests

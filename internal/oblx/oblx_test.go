@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"astrx/internal/netlist"
@@ -122,47 +123,61 @@ func maxKCLError(t *testing.T, res *Result) float64 {
 // the Fig. 2 trace only observe the run: with a fixed seed, a run that
 // reports at any cadence anneals exactly like one that reports nothing.
 // The reporting cadence must not leak into the constraint-weight
-// adaptation schedule either.
+// adaptation schedule either. The cornered row holds the same for a
+// worst-case run, whose final evaluation is a report too: the failure
+// ledger and the per-corner verdicts must match the bare run's.
 func TestReportingEvalsDoNotPerturbAnneal(t *testing.T) {
-	deck := parse(t, diffAmpDeck)
-	base := Options{Seed: 5, MaxMoves: 3000}
-	plain, err := Run(context.Background(), deck, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, every := range []int{7, 200, 500} {
-		t.Run(fmt.Sprintf("every_%d", every), func(t *testing.T) {
-			reported := base
-			reported.RecordTrace = true
-			reported.ProgressEvery = every
-			events := 0
-			reported.Progress = func(ProgressEvent) { events++ }
-			got, err := Run(context.Background(), deck, reported)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if events == 0 || len(got.Trace) != events {
-				t.Fatalf("reporting did not run: %d progress events, %d trace samples", events, len(got.Trace))
-			}
-			if got.Moves != plain.Moves || got.Accepted != plain.Accepted || got.EvalCount != plain.EvalCount {
-				t.Errorf("moves/accepted/evals = %d/%d/%d with reporting, %d/%d/%d without",
-					got.Moves, got.Accepted, got.EvalCount, plain.Moves, plain.Accepted, plain.EvalCount)
-			}
-			if got.Cost != plain.Cost {
-				t.Errorf("cost = %+v with reporting, %+v without", got.Cost, plain.Cost)
-			}
-			if len(got.X) != len(plain.X) {
-				t.Fatalf("len(X) = %d with reporting, %d without", len(got.X), len(plain.X))
-			}
-			for i := range got.X {
-				if got.X[i] != plain.X[i] {
-					t.Errorf("X[%d] = %.17g with reporting, %.17g without", i, got.X[i], plain.X[i])
+	for _, tc := range []struct {
+		prefix string
+		src    string
+		every  []int
+	}{
+		{"", diffAmpDeck, []int{7, 200, 500}},
+		{"cornered_", diffAmpDeck + corneredDiffAmpCards, []int{200}},
+	} {
+		deck := parse(t, tc.src)
+		base := Options{Seed: 5, MaxMoves: 3000}
+		plain, err := Run(context.Background(), deck, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, every := range tc.every {
+			t.Run(fmt.Sprintf("%severy_%d", tc.prefix, every), func(t *testing.T) {
+				reported := base
+				reported.RecordTrace = true
+				reported.ProgressEvery = every
+				events := 0
+				reported.Progress = func(ProgressEvent) { events++ }
+				got, err := Run(context.Background(), deck, reported)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			if got.Failures.Unstable != plain.Failures.Unstable {
-				t.Errorf("unstable fits = %d with reporting, %d without", got.Failures.Unstable, plain.Failures.Unstable)
-			}
-		})
+				if events == 0 || len(got.Trace) != events {
+					t.Fatalf("reporting did not run: %d progress events, %d trace samples", events, len(got.Trace))
+				}
+				if got.Moves != plain.Moves || got.Accepted != plain.Accepted || got.EvalCount != plain.EvalCount {
+					t.Errorf("moves/accepted/evals = %d/%d/%d with reporting, %d/%d/%d without",
+						got.Moves, got.Accepted, got.EvalCount, plain.Moves, plain.Accepted, plain.EvalCount)
+				}
+				if got.Cost != plain.Cost {
+					t.Errorf("cost = %+v with reporting, %+v without", got.Cost, plain.Cost)
+				}
+				if len(got.X) != len(plain.X) {
+					t.Fatalf("len(X) = %d with reporting, %d without", len(got.X), len(plain.X))
+				}
+				for i := range got.X {
+					if got.X[i] != plain.X[i] {
+						t.Errorf("X[%d] = %.17g with reporting, %.17g without", i, got.X[i], plain.X[i])
+					}
+				}
+				if !reflect.DeepEqual(got.Failures, plain.Failures) {
+					t.Errorf("failures = %+v with reporting, %+v without", got.Failures, plain.Failures)
+				}
+				if !reflect.DeepEqual(got.Corners, plain.Corners) {
+					t.Errorf("corner verdicts = %+v with reporting, %+v without", got.Corners, plain.Corners)
+				}
+			})
+		}
 	}
 }
 

@@ -168,6 +168,15 @@ type Cache struct {
 // quarantineDir mirrors the server's state-dir convention.
 const quarantineDir = "quarantine"
 
+// staleTempAge is how old a leftover `.*.tmp-*` write must be before the
+// startup scan removes it. A younger one may be the in-flight write of
+// a live process on the same directory (a second daemon, or the
+// previous incarnation still finishing), and sweeping it would fail
+// that write's rename and lose the cache entry. A store's
+// write-fsync-rename takes milliseconds, so an hour-old temp file is a
+// crash leftover.
+const staleTempAge = time.Hour
+
 // New builds a cache in the given mode, scanning Dir for surviving
 // entries. Mode Off returns (nil, nil). Entries that fail verification
 // are quarantined, never trusted.
@@ -249,7 +258,9 @@ func (c *Cache) scan() error {
 		case e.IsDir():
 			continue
 		case strings.HasPrefix(name, ".") && strings.Contains(name, ".tmp-"):
-			c.fsys.Remove(filepath.Join(c.dir, name))
+			if info, err := e.Info(); err == nil && time.Since(info.ModTime()) > staleTempAge {
+				c.fsys.Remove(filepath.Join(c.dir, name))
+			}
 			continue
 		case !strings.HasPrefix(name, "res-") || !strings.HasSuffix(name, ".json"):
 			continue
@@ -431,4 +442,3 @@ func (c *Cache) evictOldestLocked() {
 		}
 	}
 }
-

@@ -2,10 +2,11 @@ package rescache
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
-	"fmt"
 	"testing"
+	"time"
 
 	"astrx/internal/durable"
 	"astrx/internal/netlist"
@@ -274,6 +275,38 @@ func TestCorruptEntryQuarantined(t *testing.T) {
 	}
 	if !found {
 		t.Error("victim not in quarantine")
+	}
+}
+
+// TestScanKeepsFreshTempFiles: opening a cache must not sweep another
+// live process's in-flight write — a fresh temp file survives a second
+// New on the same directory — while a crash leftover older than
+// staleTempAge is removed.
+func TestScanKeepsFreshTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := New(Options{Mode: RW, Dir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	fresh := filepath.Join(dir, ".res-fresh.json.tmp-123")
+	stale := filepath.Join(dir, ".res-stale.json.tmp-456")
+	for _, p := range []string{fresh, stale} {
+		if err := os.WriteFile(p, []byte("partial"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old := time.Now().Add(-2 * staleTempAge)
+	if err := os.Chtimes(stale, old, old); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := New(Options{Mode: RW, Dir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(fresh); err != nil {
+		t.Errorf("fresh temp file swept by a second open: %v", err)
+	}
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Errorf("stale temp file survived the scan: %v", err)
 	}
 }
 
